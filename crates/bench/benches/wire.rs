@@ -6,14 +6,10 @@
 //! deltas. `frames/s = (2 × MACHINES) / iteration time` for the decode
 //! benches (layout + sample frame per machine).
 //!
-//! The legacy `wire/*_256` names are pinned to the **varint** frame
-//! format so their history stays comparable across report generations;
-//! the `wire/planar_*_256` group runs the same paths over column-planar
-//! frames. The `wire/stage_*` group isolates the fused path's
-//! constituent stages — checksum mix, payload decode (bulk varint or
-//! planar widen/zigzag/unfold), batched health scan, SampleSet→column
-//! extraction — mirroring the `stage_*_ns_per_machine` fields of
-//! `BENCH_wire.json`.
+//! The `wire/stage_*` group isolates the fused path's constituent
+//! stages — checksum mix, planar payload decode (unzigzag/unfold/widen),
+//! batched health scan, SampleSet→column extraction — mirroring the
+//! `stage_*_ns_per_machine` fields of `BENCH_wire.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -24,9 +20,8 @@ use tdp_fleet::{fold_event_lanes, FleetEstimator, SampleBatch, ROW_EVENTS};
 use tdp_parallel::WorkerPool;
 use tdp_wire::frame::{FrameType, PayloadChecksum};
 use tdp_wire::planar::decode_planes;
-use tdp_wire::varint::read_uvarints;
 use tdp_wire::{
-    ingest_serial, stream_window, CursorItem, DegradePolicy, FrameCursor, FrameDecoder, FrameKind,
+    ingest_serial, stream_window, CursorItem, DegradePolicy, FrameCursor, FrameDecoder,
     StreamConfig, WireEncoder,
 };
 use trickledown::SystemPowerModel;
@@ -38,25 +33,24 @@ fn synthetic_window() -> Vec<SampleSet> {
     (0..MACHINES).map(|m| synthetic_set(m, seed)).collect()
 }
 
-fn encode_window(kind: FrameKind, sets: &[SampleSet]) -> Vec<u8> {
-    let mut enc = WireEncoder::with_kind(kind);
+fn encode_window(sets: &[SampleSet]) -> Vec<u8> {
+    let mut enc = WireEncoder::new();
     for (m, set) in sets.iter().enumerate() {
         enc.push_sample_set(m as u64, set).expect("encodes");
     }
     enc.finish()
 }
 
-/// Registers the encode/decode/fused/streamed path benches for one
-/// frame format under the given name prefix.
-fn bench_paths(c: &mut Criterion, prefix: &str, kind: FrameKind, sets: &[SampleSet]) {
-    let buf = encode_window(kind, sets);
+fn bench_wire_window(c: &mut Criterion) {
+    let sets = synthetic_window();
+    let buf = encode_window(&sets);
     let model = SystemPowerModel::paper();
 
-    c.bench_function(&format!("wire/{prefix}encode_window_256"), |b| {
-        b.iter(|| black_box(encode_window(kind, sets).len()))
+    c.bench_function("wire/encode_window_256", |b| {
+        b.iter(|| black_box(encode_window(&sets).len()))
     });
 
-    c.bench_function(&format!("wire/{prefix}decode_only_256"), |b| {
+    c.bench_function("wire/decode_only_256", |b| {
         b.iter(|| {
             let mut dec = FrameDecoder::new();
             let mut cursor = FrameCursor::new(&buf);
@@ -75,7 +69,7 @@ fn bench_paths(c: &mut Criterion, prefix: &str, kind: FrameKind, sets: &[SampleS
     });
 
     let mut fused = FleetEstimator::with_capacity(model.clone(), MACHINES);
-    c.bench_function(&format!("wire/{prefix}fused_decode_estimate_256"), |b| {
+    c.bench_function("wire/fused_decode_estimate_256", |b| {
         b.iter(|| {
             ingest_serial(&buf, MACHINES, &mut fused);
             black_box(fused.estimate().fleet_total())
@@ -84,23 +78,15 @@ fn bench_paths(c: &mut Criterion, prefix: &str, kind: FrameKind, sets: &[SampleS
 
     let pool = WorkerPool::global();
     let cfg = StreamConfig::default();
-    let mut streamed = FleetEstimator::with_capacity(model, MACHINES);
-    c.bench_function(&format!("wire/{prefix}streamed_decode_estimate_256"), |b| {
+    let mut streamed = FleetEstimator::with_capacity(model.clone(), MACHINES);
+    c.bench_function("wire/streamed_decode_estimate_256", |b| {
         b.iter(|| {
             stream_window(pool, &cfg, &buf, MACHINES, &mut streamed);
             black_box(streamed.estimate().fleet_total())
         })
     });
-}
 
-fn bench_wire_window(c: &mut Criterion) {
-    let sets = synthetic_window();
-
-    // Legacy names = varint frames (historical continuity).
-    bench_paths(c, "", FrameKind::Varint, &sets);
-    bench_paths(c, "planar_", FrameKind::Planar, &sets);
-
-    let mut in_memory = FleetEstimator::with_capacity(SystemPowerModel::paper(), MACHINES);
+    let mut in_memory = FleetEstimator::with_capacity(model, MACHINES);
     c.bench_function("wire/in_memory_baseline_256", |b| {
         b.iter(|| black_box(in_memory.process_window(&sets).fleet_total()))
     });
@@ -108,8 +94,7 @@ fn bench_wire_window(c: &mut Criterion) {
 
 fn bench_wire_stages(c: &mut Criterion) {
     let sets = synthetic_window();
-    let buf = encode_window(FrameKind::Varint, &sets);
-    let planar_buf = encode_window(FrameKind::Planar, &sets);
+    let buf = encode_window(&sets);
     let d = tdp_simd::Dispatch::active();
 
     c.bench_function("wire/stage_checksum_256", |b| {
@@ -125,33 +110,13 @@ fn bench_wire_stages(c: &mut Criterion) {
         })
     });
 
-    let mut scratch: Vec<u64> = Vec::new();
-    c.bench_function("wire/stage_varint_256", |b| {
+    // The fused single-pass payload decode — unzigzag + unfold + widen
+    // straight to f64 lanes, with the checksum absorbed while the
+    // payload bytes are cache-hot.
+    let mut lanes: Vec<f64> = Vec::new();
+    c.bench_function("wire/stage_payload_256", |b| {
         b.iter(|| {
             let mut cursor = FrameCursor::new(&buf);
-            while let Some(item) = cursor.next() {
-                if let CursorItem::Frame { start, header } = item {
-                    if header.frame_type != FrameType::Sample {
-                        continue;
-                    }
-                    let payload = cursor.payload(start, &header);
-                    let n = header.cpu_count as usize * header.n_events as usize;
-                    scratch.resize(n, 0);
-                    let mut pos = 0usize;
-                    read_uvarints(d, payload, &mut pos, &mut scratch).expect("clean varints");
-                    black_box(&scratch);
-                }
-            }
-        })
-    });
-
-    // Planar counterpart of the varint stage: the fused single-pass
-    // decode — unzigzag + unfold + widen straight to f64 lanes, with
-    // the checksum absorbed while the payload bytes are cache-hot.
-    let mut lanes: Vec<f64> = Vec::new();
-    c.bench_function("wire/planar_stage_payload_256", |b| {
-        b.iter(|| {
-            let mut cursor = FrameCursor::new(&planar_buf);
             while let Some(item) = cursor.next() {
                 if let CursorItem::Frame { start, header } = item {
                     if header.frame_type != FrameType::PlanarSample {
@@ -160,13 +125,11 @@ fn bench_wire_stages(c: &mut Criterion) {
                     let payload = cursor.payload(start, &header);
                     let mut ck = PayloadChecksum::new(&header);
                     decode_planes(
-                        d,
                         payload,
                         header.n_events as usize,
                         header.cpu_count as usize,
                         false,
                         &mut lanes,
-                        &mut scratch,
                         &mut ck,
                     )
                     .expect("clean planar payload");

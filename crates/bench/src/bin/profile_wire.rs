@@ -10,7 +10,7 @@ use tdp_bench::ExperimentConfig;
 use tdp_fleet::FleetEstimator;
 use tdp_wire::frame::{FrameType, PayloadChecksum};
 use tdp_wire::planar::decode_planes;
-use tdp_wire::{ingest_serial_with, CursorItem, FrameCursor, FrameKind, IngestState, WireEncoder};
+use tdp_wire::{ingest_serial_with, CursorItem, FrameCursor, IngestState, WireEncoder};
 use trickledown::SystemPowerModel;
 
 const N: usize = 1024;
@@ -20,7 +20,7 @@ const ROUNDS: usize = 7;
 fn main() {
     let seed = ExperimentConfig::default().seed;
     let sets: Vec<_> = (0..N).map(|m| synthetic_set(m, seed)).collect();
-    let mut enc = WireEncoder::with_kind(FrameKind::Planar);
+    let mut enc = WireEncoder::new();
     // First window announces layouts; the steady-state window (what the
     // repro harness times after warm-up) carries sample frames only.
     for (m, set) in sets.iter().enumerate() {
@@ -43,7 +43,6 @@ fn main() {
     let d = tdp_simd::Dispatch::active();
 
     let mut lanes: Vec<f64> = Vec::new();
-    let mut scratch: Vec<u64> = Vec::new();
     let model = SystemPowerModel::paper();
     let mut est = FleetEstimator::with_capacity(model.clone(), N);
     let mut state = IngestState::new();
@@ -102,13 +101,11 @@ fn main() {
                                 let payload = cursor.payload(start, &header);
                                 let mut ck = PayloadChecksum::new(&header);
                                 decode_planes(
-                                    d,
                                     payload,
                                     header.n_events as usize,
                                     header.cpu_count as usize,
                                     false,
                                     &mut lanes,
-                                    &mut scratch,
                                     &mut ck,
                                 )
                                 .expect("clean");

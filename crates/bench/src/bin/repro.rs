@@ -62,30 +62,27 @@ fn main() -> ExitCode {
         println!("{}", tdp_bench::fleet::run_and_write(&cfg, n_machines));
     }
     if let Some(n_machines) = parsed.wire {
-        let frame = parsed.frame;
         let anomaly = parsed.anomaly;
         let with_anomaly = if anomaly { " + anomaly detection" } else { "" };
         if let Some(fault_seed) = parsed.faults {
             eprintln!(
                 "repro: chaos harness — fault-injected streaming ingest{with_anomaly} \
-                 ({n_machines} machines, {} frames, fault seed {fault_seed}, seed {})…",
-                frame.label(),
+                 ({n_machines} machines, fault seed {fault_seed}, seed {})…",
                 cfg.seed
             );
             println!(
                 "{}",
-                tdp_bench::wire::run_chaos_and_write(&cfg, n_machines, fault_seed, frame, anomaly)
+                tdp_bench::wire::run_chaos_and_write(&cfg, n_machines, fault_seed, anomaly)
             );
         } else {
             eprintln!(
                 "repro: benchmarking wire codec + streaming ingest{with_anomaly} \
-                 ({n_machines} machines, {} frames, seed {})…",
-                frame.label(),
+                 ({n_machines} machines, seed {})…",
                 cfg.seed
             );
             println!(
                 "{}",
-                tdp_bench::wire::run_and_write(&cfg, n_machines, frame, anomaly)
+                tdp_bench::wire::run_and_write(&cfg, n_machines, anomaly)
             );
         }
     }

@@ -7,11 +7,10 @@
 
 use crate::ExperimentConfig;
 use std::collections::BTreeSet;
-use tdp_wire::FrameKind;
 
 /// One-line usage string, printed with every argument error.
 pub const USAGE: &str = "usage: repro [--quick] [--markdown] [--bench-json] [--fleet N] [--wire N] \
-    [--frame planar|varint] [--faults SEED] [--anomaly] [--seed N] [--out DIR] \
+    [--faults SEED] [--anomaly] [--seed N] [--out DIR] \
     <table1|table2|table3|table4|fig2|fig3|fig4|fig5|fig6|fig7|coefficients|shape|ablate|selection|all>...";
 
 /// Every experiment name the binary knows, excluding `all`.
@@ -64,10 +63,6 @@ pub struct Cli {
     pub fleet: Option<usize>,
     /// Wire-codec benchmark machine count (`BENCH_wire.json`).
     pub wire: Option<usize>,
-    /// Sample-frame encoding the wire benchmark exercises as its
-    /// selected format (`--frame planar|varint`; the report always
-    /// carries A/B numbers for both).
-    pub frame: FrameKind,
     /// Fault-injection seed: turns `--wire N` into the chaos harness
     /// (`CHAOS.json`) — a seeded `FaultPlan` batters the stream while
     /// the ingest pipeline must degrade gracefully.
@@ -139,7 +134,6 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Cli, CliError> {
         bench_json: false,
         fleet: None,
         wire: None,
-        frame: FrameKind::default(),
         faults: None,
         anomaly: false,
         help: false,
@@ -151,21 +145,6 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Cli, CliError> {
             "--bench-json" => cli.bench_json = true,
             "--fleet" => cli.fleet = Some(positive_count("--fleet", args.next())?),
             "--wire" => cli.wire = Some(positive_count("--wire", args.next())?),
-            "--frame" => match args.next() {
-                Some(s) => match FrameKind::parse(&s) {
-                    Some(kind) => cli.frame = kind,
-                    None => {
-                        return Err(CliError(format!(
-                            "--frame must be \"planar\" or \"varint\", got {s:?}"
-                        )))
-                    }
-                },
-                None => {
-                    return Err(CliError(
-                        "--frame needs a sample-frame format: planar or varint".into(),
-                    ))
-                }
-            },
             "--faults" => match args.next().map(|s| (s.parse::<u64>(), s)) {
                 Some((Ok(seed), _)) => cli.faults = Some(seed),
                 Some((Err(_), s)) => {
@@ -305,31 +284,26 @@ mod tests {
     }
 
     #[test]
-    fn frame_flag_selects_the_wire_format() {
-        let cli = parse_strs(&["--wire", "64"]).unwrap();
-        assert_eq!(cli.frame, FrameKind::Planar, "planar is the default");
-        let cli = parse_strs(&["--wire", "64", "--frame", "varint"]).unwrap();
-        assert_eq!(cli.frame, FrameKind::Varint);
-        let cli = parse_strs(&["--wire", "64", "--frame", "planar"]).unwrap();
-        assert_eq!(cli.frame, FrameKind::Planar);
-
-        let err = parse_strs(&["--wire", "64", "--frame", "protobuf"]).unwrap_err();
-        assert!(
-            err.to_string().contains("protobuf"),
-            "echoes the operand: {err}"
-        );
-        assert!(
-            err.to_string().contains("planar") && err.to_string().contains("varint"),
-            "names the valid formats: {err}"
-        );
-        assert!(parse_strs(&["--wire", "64", "--frame"]).is_err());
-    }
-
-    #[test]
     fn unknown_experiments_and_flags_are_rejected() {
         assert!(parse_strs(&["table9"]).is_err());
         assert!(parse_strs(&["--frobnicate"]).is_err());
         assert!(parse_strs(&["table1", "bogus"]).is_err());
+    }
+
+    #[test]
+    fn frame_flag_selects_the_wire_format() {
+        // The wire has one sample encoding (planar): `--wire N` alone
+        // selects it, and the retired `--frame` selector is an unknown
+        // flag whatever its operand, not a silently ignored one.
+        assert!(parse_strs(&["--wire", "64"]).is_ok());
+        for operand in ["planar", "varint"] {
+            let err = parse_strs(&["--wire", "64", "--frame", operand]).unwrap_err();
+            assert!(
+                err.to_string().contains("--frame"),
+                "names the rejected flag: {err}"
+            );
+        }
+        assert!(parse_strs(&["--wire", "64", "--frame"]).is_err());
     }
 
     #[test]

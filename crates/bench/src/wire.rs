@@ -8,7 +8,7 @@
 //!   appear only in the untimed warm-up window, as with any long-lived
 //!   producer);
 //! * **decode** — walking the window with [`FrameCursor`] +
-//!   [`FrameDecoder`]: checksum, varint/delta reconstruction and rate
+//!   [`FrameDecoder`]: checksum, planar delta unfold and rate
 //!   derivation, rows discarded (the codec cost in isolation);
 //! * **fused** — [`tdp_wire::ingest_serial`]: decode straight into the
 //!   [`FleetEstimator`]'s batch plus the column evaluation;
@@ -19,17 +19,9 @@
 //!   decoded [`SampleSet`]s, measured in the same run as the baseline
 //!   the fused path is compared against.
 //!
-//! The benchmark always encodes every window in **both** sample-frame
-//! formats ([`FrameKind::Planar`] and [`FrameKind::Varint`]). The
-//! `--frame` flag selects which buffer the headline paths time; the
-//! other format's fused path is timed in the same rotation (matched
-//! noise), so `BENCH_wire.json` always carries a planar-vs-varint A/B:
-//! per-format frame sizes, per-format fused ns/machine and per-format
-//! payload-decode stage costs.
-//!
-//! The warm-up window asserts the wire paths — both formats — are
-//! bit-identical to the in-memory path before any timing starts.
-//! Results land in `BENCH_wire.json`.
+//! The warm-up window asserts the wire paths are bit-identical to the
+//! in-memory path before any timing starts. Results land in
+//! `BENCH_wire.json`.
 //!
 //! With `--faults SEED` the benchmark becomes the **chaos harness**
 //! ([`run_chaos`]): a seeded [`FaultPlan`] batters the same stream and
@@ -50,10 +42,9 @@ use tdp_fleet::{
 use tdp_parallel::WorkerPool;
 use tdp_wire::frame::{FrameType, PayloadChecksum};
 use tdp_wire::planar::decode_planes;
-use tdp_wire::varint::read_uvarints;
 use tdp_wire::{
     ingest_serial_with, stream_window_with, CursorItem, DegradePolicy, FaultKind, FaultPlan,
-    FaultedWindow, FrameCursor, FrameDecoder, FrameKind, IngestState, PipelineHealth, StreamConfig,
+    FaultedWindow, FrameCursor, FrameDecoder, IngestState, PipelineHealth, StreamConfig,
     StreamReport, WireEncoder,
 };
 use trickledown::SystemPowerModel;
@@ -63,10 +54,6 @@ use trickledown::SystemPowerModel;
 pub struct WireReport {
     /// Machines per window.
     pub n_machines: usize,
-    /// Sample-frame format the headline paths timed (`planar` /
-    /// `varint` — the `--frame` selection); the `planar_*` / `varint_*`
-    /// fields always carry the A/B numbers for both.
-    pub frame_format: &'static str,
     /// Windows measured per path.
     pub windows: u64,
     /// Worker-pool concurrency available to the streamed path.
@@ -75,21 +62,13 @@ pub struct WireReport {
     /// fused fallback reports `1`: one decoder ran, fused with the
     /// consumer (mirrors [`StreamReport::decoders`]).
     pub decoders: usize,
-    /// Encoded bytes per steady-state window in the selected format
-    /// (sample frames only — layouts are announced once, in the
+    /// Encoded bytes per steady-state window (sample frames only — layouts are announced once, in the
     /// untimed warm-up window).
     pub bytes_per_window: u64,
     /// Frames per steady-state window (one sample frame per machine).
     pub frames_per_window: u64,
-    /// Mean encoded frame size in the selected format, bytes.
+    /// Mean encoded frame size, bytes.
     pub bytes_per_frame: f64,
-    /// Mean encoded frame size of the column-planar format, bytes.
-    pub planar_bytes_per_frame: f64,
-    /// Mean encoded frame size of the varint format, bytes.
-    pub varint_bytes_per_frame: f64,
-    /// Planar window bytes over varint window bytes (> 1.0 means the
-    /// fixed-width planes pay size for their decode speed).
-    pub planar_vs_varint_bytes: f64,
     /// Encode path; units are frames.
     pub encode: StageRate,
     /// Decode-only path; units are frames.
@@ -102,15 +81,8 @@ pub struct WireReport {
     pub in_memory: StageRate,
     /// Headline: frames decoded per second (decode-only path).
     pub decode_frames_per_sec: f64,
-    /// Nanoseconds per machine-estimate, fused wire path (selected
-    /// format).
+    /// Nanoseconds per machine-estimate, fused wire path.
     pub fused_ns_per_machine: f64,
-    /// Fused ns per machine-estimate over planar frames, timed in the
-    /// same rotation as the selected format (matched-noise A/B).
-    pub planar_fused_ns_per_machine: f64,
-    /// Fused ns per machine-estimate over varint frames, timed in the
-    /// same rotation as the selected format (matched-noise A/B).
-    pub varint_fused_ns_per_machine: f64,
     /// Nanoseconds per machine-estimate, streamed wire path.
     pub streamed_ns_per_machine: f64,
     /// Nanoseconds per machine-estimate, in-memory baseline.
@@ -121,22 +93,11 @@ pub struct WireReport {
     /// Isolated checksum stage: frame walk + payload checksum mix
     /// only, ns per machine-window.
     pub stage_checksum_ns_per_machine: f64,
-    /// Isolated payload-decode stage of the **varint** leg (frame walk
-    /// plus bulk LEB128 decode), ns per machine-window; overlaps the
-    /// checksum stage on the fused path, so the stages sum past the
-    /// whole. Always equals
-    /// [`stage_payload_varint_ns_per_machine`](Self::stage_payload_varint_ns_per_machine);
-    /// the duplicate keeps the historical field name alive so stage
-    /// budgets stay comparable across report generations. (It used to
-    /// echo whichever leg `--frame` selected, silently reporting the
-    /// planar stage under the varint name for planar runs.)
-    pub stage_varint_ns_per_machine: f64,
-    /// Isolated payload-decode stage over the planar buffer (always
-    /// measured, whatever `--frame` selected).
+    /// Isolated payload-decode stage: frame walk plus the planar
+    /// unzigzag/unfold/widen walk into f64 lanes, ns per
+    /// machine-window; overlaps the checksum stage on the fused path,
+    /// so the stages sum past the whole.
     pub stage_payload_planar_ns_per_machine: f64,
-    /// Isolated payload-decode stage over the varint buffer (always
-    /// measured, whatever `--frame` selected).
-    pub stage_payload_varint_ns_per_machine: f64,
     /// Isolated health stage: the batched [`DegradePolicy`] sanity
     /// scan over one window's columns, ns per machine-window.
     pub stage_health_ns_per_machine: f64,
@@ -264,80 +225,57 @@ fn decode_only(dec: &mut FrameDecoder, buf: &[u8]) -> u64 {
     frames
 }
 
-/// Times one isolated payload-decode pass over an encoded window:
-/// frame walk + bulk LEB128 decode for varint sample frames, or the
-/// fused unzigzag/unfold/widen walk into f64 lanes for planar sample
-/// frames (each planar frame pays its in-walk checksum absorbs too —
-/// the single-pass read `decode_planes` performs on the real path).
+/// Times one isolated payload-decode pass over an encoded window: the
+/// frame walk plus the unzigzag/unfold/widen walk into f64 lanes for
+/// every sample frame (each frame pays its checksum absorb too — the
+/// single-pass read `decode_planes` performs on the real path).
 /// Returns seconds.
-fn payload_decode_pass(
-    d: tdp_simd::Dispatch,
-    buf: &[u8],
-    scratch: &mut Vec<u64>,
-    lanes: &mut Vec<f64>,
-) -> f64 {
+fn payload_decode_pass(buf: &[u8], lanes: &mut Vec<f64>) -> f64 {
     let start = Instant::now();
     let mut cursor = FrameCursor::new(buf);
     while let Some(item) = cursor.next() {
         if let CursorItem::Frame { start, header } = item {
-            let payload = cursor.payload(start, &header);
-            match header.frame_type {
-                FrameType::Sample => {
-                    let n = header.cpu_count as usize * header.n_events as usize;
-                    scratch.resize(n, 0);
-                    let mut pos = 0usize;
-                    read_uvarints(d, payload, &mut pos, scratch).expect("clean payload varints");
-                    black_box(&scratch);
-                }
-                FrameType::PlanarSample => {
-                    let mut ck = PayloadChecksum::new(&header);
-                    decode_planes(
-                        d,
-                        payload,
-                        header.n_events as usize,
-                        header.cpu_count as usize,
-                        false,
-                        lanes,
-                        scratch,
-                        &mut ck,
-                    )
-                    .expect("clean planar payload");
-                    black_box(&lanes);
-                }
-                FrameType::Layout => continue,
+            if header.frame_type != FrameType::PlanarSample {
+                continue;
             }
+            let mut ck = PayloadChecksum::new(&header);
+            decode_planes(
+                cursor.payload(start, &header),
+                header.n_events as usize,
+                header.cpu_count as usize,
+                false,
+                lanes,
+                &mut ck,
+            )
+            .expect("clean planar payload");
+            black_box(&lanes);
         }
     }
     start.elapsed().as_secs_f64()
 }
 
-/// Times the isolated pipeline stages over one window encoded in both
-/// formats, plus its decoded sets: checksum mix (selected buffer),
-/// payload decode (planar buffer, then varint buffer), batched health
-/// scan and lane→column extraction (the fused planar fold:
-/// [`fold_event_lanes`] over pre-decoded f64 event lanes — the stage
-/// the decode-to-column fusion actually runs per machine; the lanes
-/// are staged untimed so the stage isolates the fold, not the decode
-/// the payload stages already measure). Returns seconds per stage in
-/// that order. These passes share scratch across windows like the real
-/// paths, so steady-state cost is what gets measured.
-#[allow(clippy::too_many_arguments)] // one slot per reusable scratch buffer
+/// Times the isolated pipeline stages over one encoded window plus its
+/// decoded sets: checksum mix, payload decode, batched health scan and
+/// lane→column extraction (the fused planar fold: [`fold_event_lanes`]
+/// over pre-decoded f64 event lanes — the stage the decode-to-column
+/// fusion actually runs per machine; the lanes are staged untimed so
+/// the stage isolates the fold, not the decode the payload stage
+/// already measures). Returns seconds per stage in that order. These
+/// passes share scratch across windows like the real paths, so
+/// steady-state cost is what gets measured.
 fn stage_passes(
-    selected: &[u8],
-    planar_buf: &[u8],
-    varint_buf: &[u8],
+    buf: &[u8],
     sets: &[SampleSet],
     batch: &mut SampleBatch,
     policy: &DegradePolicy,
-    scratch: &mut Vec<u64>,
     lanes: &mut Vec<f64>,
     fold_lanes: &mut Vec<f64>,
     mask: &mut Vec<u8>,
-) -> [f64; 5] {
+) -> [f64; 4] {
     let d = tdp_simd::Dispatch::active();
 
     let start = Instant::now();
-    let mut cursor = FrameCursor::new(selected);
+    let mut cursor = FrameCursor::new(buf);
     while let Some(item) = cursor.next() {
         if let CursorItem::Frame { start, header } = item {
             black_box(header.expected_checksum(cursor.payload(start, &header)));
@@ -345,9 +283,7 @@ fn stage_passes(
     }
     let checksum = start.elapsed().as_secs_f64();
 
-    let payload_planar = payload_decode_pass(d, planar_buf, scratch, lanes);
-    let payload_varint = payload_decode_pass(d, varint_buf, scratch, lanes);
-
+    let payload = payload_decode_pass(buf, lanes);
     // Stage the fleet's event lanes untimed (exactly what the planar
     // decode leaves in the lane buffer: event-major f64, CPU 0 first).
     // The synthetic fleet is the canonical identity layout, so the
@@ -385,7 +321,7 @@ fn stage_passes(
     black_box(&mask);
     let health = start.elapsed().as_secs_f64();
 
-    [checksum, payload_planar, payload_varint, health, extraction]
+    [checksum, payload, health, extraction]
 }
 
 /// Reduces per-window wall times to a noise-robust total: the median
@@ -446,14 +382,14 @@ fn spike_set(set: &mut SampleSet) {
 /// contract violation the test suite already pins (quarantined spike
 /// rows, unhealthy steady state) — a run that breaks those must not
 /// report numbers.
-fn anomaly_bench(cfg: &ExperimentConfig, n_machines: usize, kind: FrameKind) -> AnomalyBench {
+fn anomaly_bench(cfg: &ExperimentConfig, n_machines: usize) -> AnomalyBench {
     let n = n_machines.max(1);
     let model = SystemPowerModel::paper();
     let pool = WorkerPool::global();
     let mut sets: Vec<SampleSet> = Vec::with_capacity(n);
 
     // ---- Detection quality: the full closed loop. ----
-    let mut enc = WireEncoder::with_kind(kind);
+    let mut enc = WireEncoder::new();
     let mut state = IngestState::new();
     let mut est = FleetEstimator::with_capacity(model.clone(), n);
     let mut serial = AnomalyDetector::default();
@@ -512,8 +448,8 @@ fn anomaly_bench(cfg: &ExperimentConfig, n_machines: usize, kind: FrameKind) -> 
     // ---- Decimated-ingest A/B: same sets, full rate vs fleet-wide
     // grant, fused serial ingest timed (no model evaluation). ----
     let ab_windows: u64 = (262_144 / n as u64).clamp(16, 128);
-    let mut full_enc = WireEncoder::with_kind(kind);
-    let mut dec_enc = WireEncoder::with_kind(kind);
+    let mut full_enc = WireEncoder::new();
+    let mut dec_enc = WireEncoder::new();
     let mut full_state = IngestState::new();
     let mut dec_state = IngestState::new();
     let mut full_est = FleetEstimator::with_capacity(model.clone(), n);
@@ -611,9 +547,7 @@ fn anomaly_bench(cfg: &ExperimentConfig, n_machines: usize, kind: FrameKind) -> 
 }
 
 /// Runs all paths over the same windows and assembles the report.
-/// `kind` selects the format the headline paths time; the other
-/// format's fused path rides the same rotation for a matched-noise
-/// A/B. Every per-path and per-stage figure is a **median over the
+/// Every per-path and per-stage figure is a **median over the
 /// measured windows** (see [`robust_total`]), not a mean — the bench
 /// often runs on shared single-CPU containers where preemption noise
 /// otherwise dominates.
@@ -628,34 +562,22 @@ fn anomaly_bench(cfg: &ExperimentConfig, n_machines: usize, kind: FrameKind) -> 
 /// runs after the headline timing and its `anomaly_*` /
 /// `decimation_*` fields join the report; the headline paths are
 /// untouched (every machine still transmits every window).
-pub fn run(
-    cfg: &ExperimentConfig,
-    n_machines: usize,
-    kind: FrameKind,
-    anomaly: bool,
-) -> WireReport {
+pub fn run(cfg: &ExperimentConfig, n_machines: usize, anomaly: bool) -> WireReport {
     let n_machines = n_machines.max(1);
     // Encoding dominates setup; fewer windows than the fleet bench
     // still average out scheduler noise because each window does
-    // 6 passes over the same data.
+    // 5 passes over the same data.
     let windows: u64 = (262_144 / n_machines as u64).clamp(8, 256);
-    let alt_kind = match kind {
-        FrameKind::Planar => FrameKind::Varint,
-        FrameKind::Varint => FrameKind::Planar,
-    };
     let model = SystemPowerModel::paper();
     let pool = WorkerPool::global();
     let stream_cfg = StreamConfig::default();
 
     let mut fused = FleetEstimator::with_capacity(model.clone(), n_machines);
-    let mut alt_fused = FleetEstimator::with_capacity(model.clone(), n_machines);
     let mut streamed = FleetEstimator::with_capacity(model.clone(), n_machines);
     let mut in_memory = FleetEstimator::with_capacity(model.clone(), n_machines);
-    let mut enc = WireEncoder::with_kind(kind);
-    let mut alt_enc = WireEncoder::with_kind(alt_kind);
+    let mut enc = WireEncoder::new();
     let mut decode_state = FrameDecoder::new();
     let mut fused_state = IngestState::new();
-    let mut alt_fused_state = IngestState::new();
     let mut stream_state = IngestState::new();
 
     let mut sets: Vec<SampleSet> = Vec::with_capacity(n_machines);
@@ -664,8 +586,7 @@ pub fn run(
     // subset of windows by multiples of their true cost, so a sum (or
     // mean) measures the scheduler, not the codec. The median window is
     // the steady-state cost.
-    let (mut enc_s, mut dec_s, mut fused_s, mut alt_fused_s, mut str_s, mut mem_s) = (
-        Vec::<f64>::new(),
+    let (mut enc_s, mut dec_s, mut fused_s, mut str_s, mut mem_s) = (
         Vec::<f64>::new(),
         Vec::<f64>::new(),
         Vec::<f64>::new(),
@@ -674,15 +595,13 @@ pub fn run(
     );
     let policy = DegradePolicy::default();
     let mut stage_batch = SampleBatch::with_capacity(n_machines);
-    let mut stage_scratch: Vec<u64> = Vec::new();
     let mut stage_lanes: Vec<f64> = Vec::new();
     let mut stage_fold_lanes: Vec<f64> = Vec::new();
     let mut stage_mask: Vec<u8> = Vec::new();
-    let mut stage_s: [Vec<f64>; 5] = Default::default();
+    let mut stage_s: [Vec<f64>; 4] = Default::default();
     let mut stream_totals = StreamReport::default();
     let mut decoders_used = 0usize;
-    let (mut bytes_per_window, mut alt_bytes_per_window, mut frames_per_window) =
-        (0u64, 0u64, 0u64);
+    let (mut bytes_per_window, mut frames_per_window) = (0u64, 0u64);
 
     for warmup in [true, false] {
         let measured_windows = if warmup { 1 } else { windows };
@@ -701,22 +620,13 @@ pub fn run(
             let start = Instant::now();
             let buf = encode_window(&mut enc, &sets);
             let enc_elapsed = start.elapsed().as_secs_f64();
-            // The other format's buffer is encoded untimed: same sets,
-            // same layout epoch, so its fused pass below is a true A/B.
-            let alt_buf = encode_window(&mut alt_enc, &sets);
             bytes_per_window = buf.len() as u64;
-            alt_bytes_per_window = alt_buf.len() as u64;
 
             // Rotate path order so cache-position bias averages out.
-            let (
-                mut dec_elapsed,
-                mut fused_elapsed,
-                mut alt_elapsed,
-                mut str_elapsed,
-                mut mem_elapsed,
-            ) = (0.0f64, 0.0, 0.0, 0.0, 0.0);
-            for step in 0..5 {
-                match (step + w as usize) % 5 {
+            let (mut dec_elapsed, mut fused_elapsed, mut str_elapsed, mut mem_elapsed) =
+                (0.0f64, 0.0, 0.0, 0.0);
+            for step in 0..4 {
+                match (step + w as usize) % 4 {
                     0 => {
                         let start = Instant::now();
                         frames_per_window = decode_only(&mut decode_state, &buf);
@@ -728,20 +638,6 @@ pub fn run(
                             ingest_serial_with(&mut fused_state, &buf, n_machines, &mut fused);
                         let est = fused.estimate();
                         fused_elapsed = start.elapsed().as_secs_f64();
-                        assert_eq!(rep.corrupt_frames, 0, "clean stream");
-                        assert_eq!(rep.unknown_layout_frames, 0, "layouts persist");
-                        black_box(est.fleet_total());
-                    }
-                    4 => {
-                        let start = Instant::now();
-                        let rep = ingest_serial_with(
-                            &mut alt_fused_state,
-                            &alt_buf,
-                            n_machines,
-                            &mut alt_fused,
-                        );
-                        let est = alt_fused.estimate();
-                        alt_elapsed = start.elapsed().as_secs_f64();
                         assert_eq!(rep.corrupt_frames, 0, "clean stream");
                         assert_eq!(rep.unknown_layout_frames, 0, "layouts persist");
                         black_box(est.fleet_total());
@@ -779,7 +675,6 @@ pub fn run(
                 let mem = in_memory.estimates();
                 for (name, wire_est) in [
                     ("fused", fused.estimates()),
-                    ("alt-format fused", alt_fused.estimates()),
                     ("streamed", streamed.estimates()),
                 ] {
                     for (a, b) in wire_est.total().iter().zip(mem.total()) {
@@ -794,27 +689,19 @@ pub fn run(
                 enc_s.push(enc_elapsed);
                 dec_s.push(dec_elapsed);
                 fused_s.push(fused_elapsed);
-                alt_fused_s.push(alt_elapsed);
                 str_s.push(str_elapsed);
                 mem_s.push(mem_elapsed);
                 // The stage passes are diagnostic, not headline: run
-                // them on a quarter of the windows so their five extra
+                // them on a quarter of the windows so their four extra
                 // data walks don't evict the cache the headline paths
                 // are being measured in. The medians stay robust (64
                 // samples at the default window count).
                 if w % 4 == 0 {
-                    let (planar_buf, varint_buf) = match kind {
-                        FrameKind::Planar => (&buf, &alt_buf),
-                        FrameKind::Varint => (&alt_buf, &buf),
-                    };
                     let stages = stage_passes(
                         &buf,
-                        planar_buf,
-                        varint_buf,
                         &sets,
                         &mut stage_batch,
                         &policy,
-                        &mut stage_scratch,
                         &mut stage_lanes,
                         &mut stage_fold_lanes,
                         &mut stage_mask,
@@ -827,17 +714,16 @@ pub fn run(
         }
     }
 
-    let (enc_secs, dec_secs, fused_secs, alt_fused_secs, str_secs, mem_secs) = (
+    let (enc_secs, dec_secs, fused_secs, str_secs, mem_secs) = (
         robust_total(&mut enc_s),
         robust_total(&mut dec_s),
         robust_total(&mut fused_s),
-        robust_total(&mut alt_fused_s),
         robust_total(&mut str_s),
         robust_total(&mut mem_s),
     );
     // Stage passes run on a sampled subset of windows, so their median
     // is scaled per machine directly rather than through the totals.
-    let stage_med: [f64; 5] = std::array::from_fn(|i| median(&mut stage_s[i]));
+    let stage_med: [f64; 4] = std::array::from_fn(|i| median(&mut stage_s[i]));
 
     let machine_units = windows * n_machines as u64;
     let frame_units = windows * frames_per_window;
@@ -846,48 +732,24 @@ pub fn run(
     let fused_rate = StageRate::new(machine_units, fused_secs);
     let streamed_rate = StageRate::new(machine_units, str_secs);
     let in_memory_rate = StageRate::new(machine_units, mem_secs);
-    // Map selected/alt back onto planar/varint for the A/B fields.
-    let (planar_window_bytes, varint_window_bytes, planar_fused_secs, varint_fused_secs) =
-        match kind {
-            FrameKind::Planar => (
-                bytes_per_window,
-                alt_bytes_per_window,
-                fused_secs,
-                alt_fused_secs,
-            ),
-            FrameKind::Varint => (
-                alt_bytes_per_window,
-                bytes_per_window,
-                alt_fused_secs,
-                fused_secs,
-            ),
-        };
     let per_machine = |window_secs: f64| window_secs * 1e9 / n_machines as f64;
     WireReport {
         n_machines,
-        frame_format: kind.label(),
         windows,
         workers: pool.workers(),
         decoders: decoders_used,
         bytes_per_window,
         frames_per_window,
         bytes_per_frame: bytes_per_window as f64 / frames_per_window.max(1) as f64,
-        planar_bytes_per_frame: planar_window_bytes as f64 / frames_per_window.max(1) as f64,
-        varint_bytes_per_frame: varint_window_bytes as f64 / frames_per_window.max(1) as f64,
-        planar_vs_varint_bytes: planar_window_bytes as f64 / varint_window_bytes.max(1) as f64,
         decode_frames_per_sec: decode_rate.per_sec,
         fused_ns_per_machine: fused_secs * 1e9 / machine_units as f64,
-        planar_fused_ns_per_machine: planar_fused_secs * 1e9 / machine_units as f64,
-        varint_fused_ns_per_machine: varint_fused_secs * 1e9 / machine_units as f64,
         streamed_ns_per_machine: str_secs * 1e9 / machine_units as f64,
         in_memory_ns_per_machine: mem_secs * 1e9 / machine_units as f64,
         fused_vs_in_memory: fused_secs / mem_secs,
         stage_checksum_ns_per_machine: per_machine(stage_med[0]),
-        stage_varint_ns_per_machine: per_machine(stage_med[2]),
         stage_payload_planar_ns_per_machine: per_machine(stage_med[1]),
-        stage_payload_varint_ns_per_machine: per_machine(stage_med[2]),
-        stage_health_ns_per_machine: per_machine(stage_med[3]),
-        stage_extraction_ns_per_machine: per_machine(stage_med[4]),
+        stage_health_ns_per_machine: per_machine(stage_med[2]),
+        stage_extraction_ns_per_machine: per_machine(stage_med[3]),
         encode: encode_rate,
         decode: decode_rate,
         fused: fused_rate,
@@ -898,7 +760,7 @@ pub fn run(
         backpressure_events: stream_totals.backpressure_events,
         peak_rss_kb: peak_rss_kb(),
         simd: tdp_simd::Dispatch::active().label(),
-        anomaly: anomaly.then(|| anomaly_bench(cfg, n_machines, kind)),
+        anomaly: anomaly.then(|| anomaly_bench(cfg, n_machines)),
     }
 }
 
@@ -909,13 +771,8 @@ pub fn run(
 ///
 /// Panics if the output directory is unwritable (consistent with the
 /// rest of the repro harness).
-pub fn run_and_write(
-    cfg: &ExperimentConfig,
-    n_machines: usize,
-    kind: FrameKind,
-    anomaly: bool,
-) -> String {
-    let report = run(cfg, n_machines, kind, anomaly);
+pub fn run_and_write(cfg: &ExperimentConfig, n_machines: usize, anomaly: bool) -> String {
+    let report = run(cfg, n_machines, anomaly);
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::create_dir_all(&cfg.out_dir).expect("create output dir");
     let path = cfg.out_dir.join("BENCH_wire.json");
@@ -932,9 +789,6 @@ pub fn run_and_write(
 pub struct ChaosReport {
     /// Machines per window.
     pub n_machines: usize,
-    /// Sample-frame format the battered stream used (`planar` /
-    /// `varint`) — the degradation contract must hold for both.
-    pub frame_format: &'static str,
     /// Windows ingested (window 0 is fault-free and carries layouts).
     pub windows: u64,
     /// Seed of the [`FaultPlan`] that battered windows 1….
@@ -1039,7 +893,6 @@ pub fn run_chaos(
     cfg: &ExperimentConfig,
     n_machines: usize,
     fault_seed: u64,
-    kind: FrameKind,
     anomaly: bool,
 ) -> ChaosReport {
     let n_machines = n_machines.max(1);
@@ -1057,7 +910,7 @@ pub fn run_chaos(
     let mut clean_state = IngestState::new();
     let mut serial_state = IngestState::new();
     let mut sharded_state = IngestState::new();
-    let mut enc = WireEncoder::with_kind(kind);
+    let mut enc = WireEncoder::new();
 
     let horizon = serial_state.policy().max_stale_windows as usize + 1;
     let mut recent: VecDeque<BTreeSet<u64>> = VecDeque::with_capacity(horizon);
@@ -1167,7 +1020,6 @@ pub fn run_chaos(
 
     ChaosReport {
         n_machines,
-        frame_format: kind.label(),
         windows,
         fault_seed,
         faults_injected,
@@ -1202,10 +1054,9 @@ pub fn run_chaos_and_write(
     cfg: &ExperimentConfig,
     n_machines: usize,
     fault_seed: u64,
-    kind: FrameKind,
     anomaly: bool,
 ) -> String {
-    let report = run_chaos(cfg, n_machines, fault_seed, kind, anomaly);
+    let report = run_chaos(cfg, n_machines, fault_seed, anomaly);
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::create_dir_all(&cfg.out_dir).expect("create output dir");
     let path = cfg.out_dir.join("CHAOS.json");
@@ -1224,13 +1075,12 @@ mod tests {
             out_dir: std::env::temp_dir().join("tdp-wire-bench-test"),
             ..ExperimentConfig::quick()
         };
-        let r = run(&cfg, 8, FrameKind::Planar, false);
+        let r = run(&cfg, 8, false);
         assert_eq!(r.n_machines, 8);
         assert!(
             r.anomaly.is_none(),
             "adaptive sampling is opt-in; the default report must not carry it"
         );
-        assert_eq!(r.frame_format, "planar");
         assert_eq!(r.frames_per_window, 8, "steady state: sample frames only");
         assert_eq!(r.decode.units, r.windows * 8);
         assert_eq!(r.fused.units, r.windows * 8);
@@ -1242,57 +1092,17 @@ mod tests {
             r.bytes_per_frame > 44.0,
             "frames carry payload past the header"
         );
-        assert!(r.planar_bytes_per_frame > 44.0 && r.varint_bytes_per_frame > 44.0);
-        assert_eq!(
-            r.bytes_per_frame, r.planar_bytes_per_frame,
-            "selected format is planar, flat field mirrors it"
-        );
-        assert!(
-            r.planar_vs_varint_bytes > 0.0 && r.planar_vs_varint_bytes.is_finite(),
-            "A/B size ratio must be reportable, got {}",
-            r.planar_vs_varint_bytes
-        );
-        assert_eq!(
-            r.fused_ns_per_machine, r.planar_fused_ns_per_machine,
-            "selected format is planar, flat fused field mirrors it"
-        );
         for (name, ns) in [
             ("checksum", r.stage_checksum_ns_per_machine),
-            ("varint (legacy name)", r.stage_varint_ns_per_machine),
             ("payload planar", r.stage_payload_planar_ns_per_machine),
-            ("payload varint", r.stage_payload_varint_ns_per_machine),
             ("health", r.stage_health_ns_per_machine),
             ("extraction", r.stage_extraction_ns_per_machine),
-            ("fused varint A/B", r.varint_fused_ns_per_machine),
         ] {
             assert!(
                 ns > 0.0 && ns.is_finite(),
                 "stage {name} must report a positive budget, got {ns}"
             );
         }
-        assert_eq!(
-            r.stage_varint_ns_per_machine, r.stage_payload_varint_ns_per_machine,
-            "legacy flat field reports the varint leg's own stage even \
-             when planar is selected (it used to echo the planar stage)"
-        );
-    }
-
-    #[test]
-    fn varint_selected_report_swaps_the_flat_fields() {
-        let cfg = ExperimentConfig {
-            out_dir: std::env::temp_dir().join("tdp-wire-bench-test-varint"),
-            ..ExperimentConfig::quick()
-        };
-        let r = run(&cfg, 6, FrameKind::Varint, false);
-        assert_eq!(r.frame_format, "varint");
-        assert_eq!(r.bytes_per_frame, r.varint_bytes_per_frame);
-        assert_eq!(r.fused_ns_per_machine, r.varint_fused_ns_per_machine);
-        assert_eq!(
-            r.stage_varint_ns_per_machine,
-            r.stage_payload_varint_ns_per_machine
-        );
-        assert!(r.planar_fused_ns_per_machine > 0.0, "A/B still measured");
-        assert_eq!(r.corrupt_frames, 0);
     }
 
     #[test]
@@ -1301,8 +1111,7 @@ mod tests {
             out_dir: std::env::temp_dir().join("tdp-wire-chaos-test"),
             ..ExperimentConfig::quick()
         };
-        let r = run_chaos(&cfg, 12, 1234, FrameKind::Planar, false);
-        assert_eq!(r.frame_format, "planar");
+        let r = run_chaos(&cfg, 12, 1234, false);
         assert!(r.anomaly.is_none(), "detector sub-run is opt-in");
         assert!(
             r.faults_injected >= r.windows - 1,
@@ -1316,18 +1125,13 @@ mod tests {
         assert!(r.rows_written > 0);
 
         // The harness replays deterministically, seed in → verdict out.
-        let again = run_chaos(&cfg, 12, 1234, FrameKind::Planar, false);
+        let again = run_chaos(&cfg, 12, 1234, false);
         assert_eq!(r.faults_injected, again.faults_injected);
         assert_eq!(r.rows_written, again.rows_written);
         assert_eq!(r.rows_quarantined, again.rows_quarantined);
         // A different seed is a different battering.
-        let other = run_chaos(&cfg, 12, 4321, FrameKind::Planar, false);
+        let other = run_chaos(&cfg, 12, 4321, false);
         assert!(other.all_faults_accounted && other.clean_subset_bit_identical);
-        // The legacy varint stream degrades under the same contract.
-        let varint = run_chaos(&cfg, 12, 1234, FrameKind::Varint, false);
-        assert_eq!(varint.frame_format, "varint");
-        assert!(varint.all_faults_accounted, "unaccounted fault: {varint:?}");
-        assert!(varint.clean_subset_bit_identical && varint.serial_sharded_identical);
     }
 
     #[test]
@@ -1336,7 +1140,7 @@ mod tests {
             out_dir: std::env::temp_dir().join("tdp-wire-bench-test-anomaly"),
             ..ExperimentConfig::quick()
         };
-        let r = run(&cfg, 8, FrameKind::Planar, true);
+        let r = run(&cfg, 8, true);
         let a = r.anomaly.as_ref().expect("--anomaly fills the block");
         assert_eq!(a.anomaly_false_positives, 0, "clean fleet stays unflagged");
         assert!(
@@ -1380,7 +1184,7 @@ mod tests {
             out_dir: std::env::temp_dir().join("tdp-wire-chaos-test-anomaly"),
             ..ExperimentConfig::quick()
         };
-        let r = run_chaos(&cfg, 12, 1234, FrameKind::Planar, true);
+        let r = run_chaos(&cfg, 12, 1234, true);
         let a = r.anomaly.as_ref().expect("--anomaly fills the block");
         assert_eq!(a.anomaly_windows, r.windows);
         assert!(a.anomaly_warmed, "24 windows outlast the baseline");

@@ -140,9 +140,8 @@ impl SampleBatch {
     /// Appends one machine's pre-aggregated column row — the raw-row
     /// ingestion point for producers that build rows outside this
     /// crate, such as the `tdp-wire` zero-copy decoder (via
-    /// [`RowAccumulator`], which guarantees the row was formed by the
-    /// exact arithmetic [`push_sample_set`](Self::push_sample_set)
-    /// uses).
+    /// [`fold_event_lanes`], which forms the row with the exact
+    /// arithmetic [`push_sample_set`](Self::push_sample_set) uses).
     pub fn push_row(&mut self, row: [f64; COLUMNS]) {
         for (c, v) in self.cols.iter_mut().zip(row) {
             c.push(v);
@@ -195,8 +194,8 @@ impl SampleBatch {
 
     /// All columns as mutable slices, indexable with the [`col`]
     /// constants — the raw write surface external fused ingestion
-    /// (the `tdp-wire` serial path) builds rows in directly, via
-    /// [`RowAccumulator::finish_into`], instead of staging each row
+    /// (the `tdp-wire` serial path) writes [`fold_event_lanes`] rows
+    /// into directly, instead of staging each row
     /// through [`set_row`](Self::set_row). Size the batch first with
     /// [`resize_rows`](Self::resize_rows).
     pub fn columns_mut(&mut self) -> [&mut [f64]; COLUMNS] {
@@ -205,13 +204,12 @@ impl SampleBatch {
 }
 
 /// The nine raw events a machine row is built from, in the count order
-/// [`RowAccumulator::accumulate_cpu`] consumes (and [`LayoutCache::pos`]
-/// caches).
+/// the rate arithmetic consumes (and [`LayoutCache::pos`] caches).
 ///
 /// External ingestion paths — the `tdp-wire` decoder in particular —
-/// gather one `Option<u64>` count per entry of this array per CPU and
-/// feed them through [`RowAccumulator`], which applies the exact same
-/// rate arithmetic as [`SampleBatch::push_sample_set`].
+/// map each entry of this array to its wire event position and feed
+/// the decoded lanes through [`fold_event_lanes`], which applies the
+/// exact same rate arithmetic as [`SampleBatch::push_sample_set`].
 pub const ROW_EVENTS: [PerfEvent; 9] = [
     PerfEvent::Cycles,
     PerfEvent::HaltedCycles,
@@ -609,74 +607,23 @@ fn accumulate_rates_f64(row: &mut [f64; COLUMNS], vals: [f64; ROW_EVENTS.len()])
     row[col::DEV_INT_SQ] += dev * dev;
 }
 
-/// Builds one machine row from per-CPU raw counts using the *same*
-/// rate arithmetic as [`SampleBatch::push_sample_set`] — the contract
-/// external decoders (the `tdp-wire` zero-copy path) rely on for
-/// bit-identical wire-vs-in-memory ingestion.
-///
-/// Feed one `[Option<u64>; 9]` of counts per CPU, ordered as
-/// [`ROW_EVENTS`] (`None` marks an event absent from that CPU's PMU
-/// programming), then [`finish`](Self::finish) the row for
-/// [`SampleBatch::push_row`] or [`SampleBatch::set_row`].
-#[derive(Debug, Clone)]
-pub struct RowAccumulator {
-    row: [f64; COLUMNS],
-}
-
-impl RowAccumulator {
-    /// Starts a row for a machine with `num_cpus` CPUs.
-    pub fn new(num_cpus: usize) -> Self {
-        let mut row = [0.0f64; COLUMNS];
-        row[col::NUM_CPUS] = num_cpus as f64;
-        Self { row }
-    }
-
-    /// Folds one CPU's raw counts (ordered as [`ROW_EVENTS`]) into the
-    /// row. Call order must match CPU order — float accumulation is
-    /// order-sensitive, and the bit-identical guarantee holds only for
-    /// the same sequence `push_sample_set` would use (CPU 0 first).
-    #[inline]
-    pub fn accumulate_cpu(&mut self, counts: [Option<u64>; ROW_EVENTS.len()]) {
-        accumulate_rates(&mut self.row, counts);
-    }
-
-    /// The finished machine row.
-    pub fn finish(self) -> [f64; COLUMNS] {
-        self.row
-    }
-
-    /// Writes the finished row straight into column slices at `idx` —
-    /// the same thirteen values [`finish`](Self::finish) returns, minus
-    /// the intermediate row copy a [`SampleBatch::set_row`] round trip
-    /// would add. Pair with [`SampleBatch::columns_mut`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any column is `idx` or shorter.
-    #[inline]
-    pub fn finish_into(self, cols: &mut [&mut [f64]; COLUMNS], idx: usize) {
-        for (c, v) in cols.iter_mut().zip(self.row) {
-            c[idx] = v;
-        }
-    }
-}
-
-/// Reduces one machine's decoded event lanes to a fleet row — the
-/// fused-column counterpart of [`RowAccumulator`], consuming counts
-/// already widened to f64 at decode time instead of `Option<u64>`
-/// gathers.
+/// Reduces one machine's decoded event lanes to a fleet row, using the
+/// *same* rate arithmetic as [`SampleBatch::push_sample_set`] — the
+/// contract the `tdp-wire` zero-copy decoder relies on for
+/// bit-identical wire-vs-in-memory ingestion. Counts arrive already
+/// widened to f64 at decode time.
 ///
 /// `lanes` is event-major: `lanes[e · cpus + c]` is wire event `e`'s
 /// count on CPU `c` as f64 (`lanes.len() == n_events · cpus`). `pos`
 /// maps each [`ROW_EVENTS`] entry to its wire event index (`u16::MAX`
 /// = absent — the sentinel prices past any legal lane buffer, since
 /// wire layouts carry at most a few dozen events, so one
-/// bounds-checked `get` folds the presence test and the lookup exactly
-/// as the row-major reference path does). `identity` short-circuits
+/// bounds-checked `get` folds the presence test and the lookup into a
+/// single branch). `identity` short-circuits
 /// the indirection for the canonical nine-event layout.
 ///
 /// Bit-identity with the `Option<u64>` reference path
-/// ([`SampleBatch::push_sample_set`] / [`RowAccumulator`]) holds by
+/// ([`SampleBatch::push_sample_set`]) holds by
 /// the [`accumulate_rates_f64`] argument: widening is the same
 /// rounding wherever performed, an absent event ≡ a `0.0` lane, and
 /// the CPU fold order (CPU 0 first) is unchanged. The identity path

@@ -66,6 +66,6 @@ mod estimator;
 pub mod kernels;
 
 pub use anomaly::{AnomalyConfig, AnomalyDetector, AnomalySummary, Verdict};
-pub use batch::{col, fold_event_lanes, RowAccumulator, SampleBatch, COLUMNS, ROW_EVENTS};
+pub use batch::{col, fold_event_lanes, SampleBatch, COLUMNS, ROW_EVENTS};
 pub use calibrate::StreamingCalibrator;
 pub use estimator::{FleetEstimates, FleetEstimator};

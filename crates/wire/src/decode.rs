@@ -1,14 +1,14 @@
 //! Zero-copy frame decoding straight into fleet sample rows.
 //!
 //! [`FrameDecoder`] never materialises an intermediate `SampleSet` or
-//! `SystemSample`: it walks a frame's varints in place, reconstructs
-//! per-CPU counts in two reused scratch buffers (current and previous
-//! CPU, for the delta chain), and folds them through
-//! [`tdp_fleet::RowAccumulator`] — the *same* arithmetic
+//! `SystemSample`: it walks a planar frame's payload in place
+//! ([`crate::planar::decode_planes`]), unfolds the delta chain straight
+//! into one reused buffer of f64 event lanes, and folds those through
+//! [`tdp_fleet::fold_event_lanes`] — the *same* arithmetic
 //! `SampleBatch::push_sample_set` applies to in-memory samples, which
 //! is what makes wire ingestion bit-identical to in-memory ingestion by
 //! construction. In the steady state (layouts already registered,
-//! scratch sized) a decode performs no allocation.
+//! lane buffer sized) a decode performs no allocation.
 //!
 //! Layouts are resolved through [`LayoutTable`], keyed on the header's
 //! `layout_hash`: a layout frame registers the positions of the nine
@@ -25,9 +25,9 @@ use crate::frame::{
     FrameHeader, FrameType, HeaderError, PayloadChecksum, HEADER_LEN, MAGIC, MAX_DECIMATION,
     MAX_WIRE_EVENTS,
 };
-use crate::varint::{read_uvarint, read_uvarints_ck, unzigzag};
+use crate::varint::read_uvarint;
 use tdp_counters::layout_hash_indices;
-use tdp_fleet::{fold_event_lanes, RowAccumulator, COLUMNS, ROW_EVENTS};
+use tdp_fleet::{fold_event_lanes, COLUMNS, ROW_EVENTS};
 use tdp_simd::Dispatch;
 
 /// Why a frame failed to decode.
@@ -36,8 +36,8 @@ pub enum DecodeError {
     /// Stored checksum does not match header + payload.
     Checksum,
     /// A layout frame whose payload hashes differently than its header
-    /// claims, or varints that overrun the payload, or out-of-bounds
-    /// counts of events/CPUs.
+    /// claims, a payload that disagrees with its declared geometry or
+    /// widths, or out-of-bounds counts of events/CPUs.
     Malformed,
     /// A sample frame referencing a `layout_hash` no layout frame
     /// declared.
@@ -168,10 +168,8 @@ pub struct FrameDecoder {
     /// Per-machine identity-directory memo, indexed by machine id
     /// (grown lazily, capped at [`MAX_DIR_MEMO`]).
     dir_memo: Vec<Option<DirEntry>>,
-    /// Scratch for a varint frame's reconstructed counts, row-major
-    /// (`cpu_count × n_events`); the delta chain unfolds in place. The
-    /// planar bulk path stages raw zigzag lanes here.
-    cur: Vec<u64>,
+    /// Scratch for a layout frame's event indices.
+    layout_indices: Vec<u64>,
     /// A planar frame's decoded f64 event lanes, event-major
     /// (`lanes[e · cpus + c]`), ready for the column fold.
     lanes: Vec<f64>,
@@ -214,12 +212,11 @@ impl FrameDecoder {
                 }
                 self.decode_layout(header, payload)
             }
-            // Sample frames (either encoding) fuse verification into
-            // the payload walk (the hot path — see
-            // `decode_sample_pending`); the checksum verdict still
-            // takes precedence over every structural one, exactly as
-            // the layout arm orders them.
-            FrameType::Sample | FrameType::PlanarSample => {
+            // Sample frames fuse verification into the payload walk
+            // (the hot path — see `decode_sample_pending`); the
+            // checksum verdict still takes precedence over every
+            // structural one, exactly as the layout arm orders them.
+            FrameType::PlanarSample => {
                 let pending = self.decode_sample_pending(header, payload)?;
                 Ok(Decoded::Row {
                     machine_id: pending.machine_id,
@@ -256,10 +253,10 @@ impl FrameDecoder {
             }
         }
         let n = header.n_events as usize;
-        self.cur.clear();
+        self.layout_indices.clear();
         let mut pos = 0usize;
         for _ in 0..n {
-            self.cur
+            self.layout_indices
                 .push(read_uvarint(payload, &mut pos).ok_or(DecodeError::Malformed)?);
         }
         if pos != payload.len() {
@@ -268,7 +265,7 @@ impl FrameDecoder {
         // The payload must hash to what the header claims — otherwise
         // sample frames keyed on that hash would silently bind to the
         // wrong column mapping.
-        if layout_hash_indices(self.cur.iter().copied()) != header.layout_hash {
+        if layout_hash_indices(self.layout_indices.iter().copied()) != header.layout_hash {
             return Err(DecodeError::Malformed);
         }
         let mut entry = LayoutEntry {
@@ -280,7 +277,7 @@ impl FrameDecoder {
         for (k, e) in ROW_EVENTS.iter().enumerate() {
             // First occurrence wins, matching the in-memory rescan rule.
             entry.pos[k] = self
-                .cur
+                .layout_indices
                 .iter()
                 .position(|&i| i == e.index() as u64)
                 .map_or(u16::MAX, |i| i as u16);
@@ -307,13 +304,13 @@ impl FrameDecoder {
     }
 
     /// Decodes a sample frame up to (but not including) the row
-    /// reduction: checksum verification fused into the varint walk,
-    /// delta chain unfolded in the decoder's scratch. The caller folds
-    /// the counts with [`fold_row`](Self::fold_row) (sharded ingest,
-    /// which ships rows through rings) or
+    /// reduction: checksum verification fused into the planar walk,
+    /// delta chain unfolded into the decoder's lane buffer. The caller
+    /// folds the lanes with [`fold_row`](Self::fold_row) (sharded
+    /// ingest, which ships rows through rings) or
     /// [`fold_into`](Self::fold_into) (serial fused ingest, straight
     /// into the batch's columns) — the fold must happen before the next
-    /// decode reuses the scratch.
+    /// decode reuses the buffer.
     ///
     /// Error precedence is identical to the historical two-pass decode:
     /// the checksum is *always* computed over the full payload (the
@@ -326,45 +323,23 @@ impl FrameDecoder {
         header: &FrameHeader,
         payload: &[u8],
     ) -> Result<PendingSample, DecodeError> {
-        let planar = header.frame_type == FrameType::PlanarSample;
         let mut ck = PayloadChecksum::new(header);
-        let scanned = if planar {
-            self.scan_planar(header, payload, &mut ck)
-        } else {
-            self.scan_sample(header, payload, &mut ck)
-                .map(|e| (e, true))
-        };
+        let scanned = self.scan_planar(header, payload, &mut ck);
         if header.checksum != ck.finish(payload) {
             return Err(DecodeError::Checksum);
         }
         let (entry, memo_hit) = scanned?;
-        if planar && !memo_hit {
+        if !memo_hit {
             // Memoise only now — after the structural walk accepted the
             // frame *and* the checksum proved it intact — so a corrupt
             // or malformed frame can never seed the fast path.
             self.store_dir_memo(header, payload, entry);
         }
-        let n = header.n_events as usize;
-        let cpus = header.cpu_count as usize;
-        if !planar {
-            // The varint path's delta chain unfolds row over row in
-            // place — integer-exact, so dispatch flavour cannot change
-            // a single reconstructed count. (The planar path already
-            // unfolded its planes in bulk during the scan.)
-            for cpu in 1..cpus {
-                let (done, rest) = self.cur.split_at_mut(cpu * n);
-                let prev = &done[(cpu - 1) * n..];
-                for (c, &p) in rest[..n].iter_mut().zip(prev) {
-                    *c = p.wrapping_add(unzigzag(*c) as u64);
-                }
-            }
-        }
         Ok(PendingSample {
             machine_id: header.machine_id,
             window_seq: header.window_seq,
             entry,
-            cpus,
-            planar,
+            cpus: header.cpu_count as usize,
         })
     }
 
@@ -390,10 +365,9 @@ impl FrameDecoder {
         Ok(self.fold_row(&p))
     }
 
-    /// The structural half of a planar sample decode: layout lookup,
-    /// geometry checks, and the fused single-pass decode into the f64
-    /// lane buffer (event-major — see [`crate::planar`]). Same contract
-    /// as [`scan_sample`](Self::scan_sample): whatever this returns,
+    /// The structural half of a sample decode: layout lookup, geometry
+    /// checks, and the single-pass decode into the f64 lane buffer
+    /// (event-major — see [`crate::planar`]). Whatever this returns,
     /// the caller finishes the checksum and gives its verdict
     /// precedence. The returned flag reports whether the
     /// identity-directory memo supplied the layout (`true` = hit,
@@ -421,13 +395,11 @@ impl FrameDecoder {
             }
         };
         crate::planar::decode_planes(
-            Dispatch::active(),
             payload,
             header.n_events as usize,
             header.cpu_count as usize,
             memo_hit,
             &mut self.lanes,
-            &mut self.cur,
             ck,
         )
         .ok_or(DecodeError::Malformed)?;
@@ -481,76 +453,19 @@ impl FrameDecoder {
         });
     }
 
-    /// The structural half of a sample decode: layout lookup, geometry
-    /// checks, and the checksum-fused bulk varint walk into the scratch
-    /// buffer. Whatever this returns, the caller finishes the checksum
-    /// and gives its verdict precedence.
-    fn scan_sample(
-        &mut self,
-        header: &FrameHeader,
-        payload: &[u8],
-        ck: &mut PayloadChecksum,
-    ) -> Result<LayoutEntry, DecodeError> {
-        if header.n_events as usize > MAX_WIRE_EVENTS {
-            return Err(DecodeError::Malformed);
-        }
-        let entry = *self
-            .layouts
-            .lookup(header.layout_hash)
-            .ok_or(DecodeError::UnknownLayout)?;
-        if entry.n_events != header.n_events {
-            return Err(DecodeError::Malformed);
-        }
-        let n = header.n_events as usize;
-        let cpus = header.cpu_count as usize;
-        let total = n * cpus;
-        // Every varint is at least one byte, so a payload shorter than
-        // the count cannot parse — and refusing it here keeps a corrupt
-        // header's geometry from growing the scratch buffer.
-        if total > payload.len() {
-            return Err(DecodeError::Malformed);
-        }
-        // The scratch contents never leak between frames — the bulk
-        // decode overwrites every entry — so resizing only on a frame
-        // geometry change spares the steady state a memset per frame.
-        if self.cur.len() != total {
-            self.cur.clear();
-            self.cur.resize(total, 0);
-        }
-        // Every varint of the frame in one bulk decode: the batched
-        // decoder's 8-byte windows run straight across CPU-row
-        // boundaries instead of discarding a partially consumed word at
-        // each row, and the checksum absorbs each window as the walk
-        // passes it — one read of the payload for both.
-        let mut pos = 0usize;
-        read_uvarints_ck(Dispatch::active(), payload, &mut pos, &mut self.cur, ck)
-            .ok_or(DecodeError::Malformed)?;
-        if pos != payload.len() {
-            return Err(DecodeError::Malformed);
-        }
-        Ok(entry)
-    }
-
-    /// Reduces a pending sample's reconstructed counts to one fleet
-    /// row — the arithmetic `SampleBatch::push_sample_set` applies to
-    /// in-memory samples. Planar frames fold their decoded f64 event
-    /// lanes through [`fold_event_lanes`] (whose widening and
-    /// missing-event mapping are bit-identical to the `Option<u64>`
-    /// reference path — see its docs); varint frames gather through the
-    /// same [`RowAccumulator`] as always.
+    /// Reduces a pending sample's decoded lanes to one fleet row
+    /// through [`fold_event_lanes`] — the arithmetic
+    /// `SampleBatch::push_sample_set` applies to in-memory samples
+    /// (widening and missing-event mapping bit-identical to its
+    /// `Option<u64>` path — see its docs).
     pub(crate) fn fold_row(&self, p: &PendingSample) -> [f64; COLUMNS] {
-        if p.planar {
-            return fold_event_lanes(
-                Dispatch::active(),
-                &self.lanes,
-                p.cpus,
-                &p.entry.pos,
-                p.entry.identity,
-            );
-        }
-        let mut acc = RowAccumulator::new(p.cpus);
-        self.accumulate(p, &mut acc);
-        acc.finish()
+        fold_event_lanes(
+            Dispatch::active(),
+            &self.lanes,
+            p.cpus,
+            &p.entry.pos,
+            p.entry.identity,
+        )
     }
 
     /// [`fold_row`](Self::fold_row) writing straight into a batch's
@@ -562,45 +477,14 @@ impl FrameDecoder {
         cols: &mut [&mut [f64]; COLUMNS],
         idx: usize,
     ) {
-        if p.planar {
-            let row = fold_event_lanes(
-                Dispatch::active(),
-                &self.lanes,
-                p.cpus,
-                &p.entry.pos,
-                p.entry.identity,
-            );
-            for (c, v) in cols.iter_mut().zip(row) {
-                c[idx] = v;
-            }
-            return;
-        }
-        let mut acc = RowAccumulator::new(p.cpus);
-        self.accumulate(p, &mut acc);
-        acc.finish_into(cols, idx);
-    }
-
-    /// The varint-frame reduction over the row-major scratch.
-    fn accumulate(&self, p: &PendingSample, acc: &mut RowAccumulator) {
-        let n = p.entry.n_events as usize;
-        for cpu in 0..p.cpus {
-            let row = &self.cur[cpu * n..(cpu + 1) * n];
-            // The absent-event sentinel (`u16::MAX`) is out of bounds
-            // by construction, so one bounds-checked `get` folds the
-            // presence test and the lookup into a single branch. The
-            // canonical identity layout skips the indirection entirely.
-            let counts: [Option<u64>; ROW_EVENTS.len()] = if p.entry.identity {
-                std::array::from_fn(|k| Some(row[k]))
-            } else {
-                std::array::from_fn(|k| row.get(p.entry.pos[k] as usize).copied())
-            };
-            acc.accumulate_cpu(counts);
+        for (c, v) in cols.iter_mut().zip(self.fold_row(p)) {
+            c[idx] = v;
         }
     }
 }
 
 /// A sample frame that decoded cleanly (checksummed, delta-unfolded in
-/// the decoder's scratch) but has not yet been reduced to a fleet row —
+/// the decoder's lane buffer) but has not yet been reduced to a fleet row —
 /// the handle [`FrameDecoder::fold_row`] / [`FrameDecoder::fold_into`]
 /// consume. Valid only until the decoder's next sample decode.
 #[derive(Debug, Clone, Copy)]
@@ -611,9 +495,6 @@ pub(crate) struct PendingSample {
     pub window_seq: u64,
     entry: LayoutEntry,
     cpus: usize,
-    /// Whether the decode landed in the f64 lane buffer (planar frames,
-    /// event-major) rather than the row-major u64 scratch (varint).
-    planar: bool,
 }
 
 /// One framing step over a raw byte stream.

@@ -4,15 +4,12 @@
 //! layout hash announced per machine and interleaves a layout frame
 //! whenever a machine's PMU programming changes (including the first
 //! time it is seen), so a stream is always self-describing, and emits
-//! sample frames in its negotiated [`FrameKind`] (column-planar by
-//! default, row-major varint for legacy consumers and A/B baselines).
-//! The stateless [`encode_layout_frame`] / [`encode_sample_frame`] /
-//! [`encode_planar_sample_frame`] building blocks are public for tests
-//! and custom producers.
+//! each machine-window as one column-planar sample frame. The
+//! stateless [`encode_layout_frame`] / [`encode_planar_sample_frame`]
+//! building blocks are public for tests and custom producers.
 
 use crate::frame::{
-    put_uvarint, zigzag, FrameHeader, FrameKind, FrameType, HEADER_LEN, MAX_DECIMATION,
-    MAX_WIRE_EVENTS,
+    put_uvarint, FrameHeader, FrameType, HEADER_LEN, MAX_DECIMATION, MAX_WIRE_EVENTS,
 };
 use std::collections::HashMap;
 use tdp_counters::{layout_hash, PerfEvent, SampleSet};
@@ -109,63 +106,20 @@ pub fn encode_layout_frame_with_decimation(
     Ok(())
 }
 
-/// Appends one sample frame for `machine_id`, encoding every CPU's
-/// counts against `events` (the layout all CPUs of the set share).
-///
-/// CPU 0's counts are raw varints; each later CPU stores the zigzag
-/// delta against the previous CPU's count of the same event.
+/// Appends one column-planar sample frame for `machine_id`, encoding
+/// every CPU's counts against the layout all CPUs of the set share, in
+/// the fixed-width plane encoding of [`crate::planar`].
 ///
 /// # Errors
 ///
 /// [`EncodeError::MixedLayouts`] if any CPU's counter layout differs
 /// from the first CPU's; [`EncodeError::OutOfBounds`] if the layout or
 /// CPU count exceeds the format's bounds.
-pub fn encode_sample_frame(
-    out: &mut Vec<u8>,
-    machine_id: u64,
-    set: &SampleSet,
-) -> Result<(), EncodeError> {
-    let first = validate_sample_geometry(set)?;
-    let header = sample_header(FrameType::Sample, machine_id, set, first);
-    with_frame(out, header, |buf| {
-        for (k, cpu) in set.per_cpu.iter().enumerate() {
-            for (e, &(_, count)) in cpu.counts().iter().enumerate() {
-                if k == 0 {
-                    put_uvarint(buf, count);
-                } else {
-                    let prev = set.per_cpu[k - 1].counts()[e].1;
-                    put_uvarint(buf, zigzag(count.wrapping_sub(prev) as i64));
-                }
-            }
-        }
-    });
-    Ok(())
-}
-
-/// Appends one column-planar sample frame for `machine_id` — the same
-/// machine-window [`encode_sample_frame`] would emit, in the
-/// fixed-width plane encoding of [`crate::planar`]. A decoder
-/// reconstructs bit-identical counts from either frame.
-///
-/// # Errors
-///
-/// Identical to [`encode_sample_frame`]:
-/// [`EncodeError::MixedLayouts`] / [`EncodeError::OutOfBounds`].
 pub fn encode_planar_sample_frame(
     out: &mut Vec<u8>,
     machine_id: u64,
     set: &SampleSet,
 ) -> Result<(), EncodeError> {
-    let first = validate_sample_geometry(set)?;
-    let header = sample_header(FrameType::PlanarSample, machine_id, set, first);
-    with_frame(out, header, |buf| crate::planar::encode_payload(buf, set));
-    Ok(())
-}
-
-/// The geometry checks both sample encoders share: uniform per-CPU
-/// layouts within the format's bounds. Returns the first CPU's counts
-/// (the layout all CPUs follow).
-fn validate_sample_geometry(set: &SampleSet) -> Result<&[(PerfEvent, u64)], EncodeError> {
     let first: &[(PerfEvent, u64)] = set.per_cpu.first().map_or(&[], |c| c.counts());
     if first.len() > MAX_WIRE_EVENTS || set.per_cpu.len() > u16::MAX as usize {
         return Err(EncodeError::OutOfBounds);
@@ -176,17 +130,8 @@ fn validate_sample_geometry(set: &SampleSet) -> Result<&[(PerfEvent, u64)], Enco
             return Err(EncodeError::MixedLayouts);
         }
     }
-    Ok(first)
-}
-
-fn sample_header(
-    frame_type: FrameType,
-    machine_id: u64,
-    set: &SampleSet,
-    first: &[(PerfEvent, u64)],
-) -> FrameHeader {
-    FrameHeader {
-        frame_type,
+    let header = FrameHeader {
+        frame_type: FrameType::PlanarSample,
         payload_len: 0,
         machine_id,
         window_seq: set.seq,
@@ -194,7 +139,9 @@ fn sample_header(
         cpu_count: set.per_cpu.len() as u16,
         n_events: first.len() as u16,
         checksum: 0,
-    }
+    };
+    with_frame(out, header, |buf| crate::planar::encode_payload(buf, set));
+    Ok(())
 }
 
 fn layout_hash_of(pairs: &[(PerfEvent, u64)]) -> u64 {
@@ -232,37 +179,12 @@ pub struct WireEncoder {
     /// Reusable scratch for the pushed set's event layout — one
     /// steady-state `push_sample_set` must not heap-allocate.
     events: Vec<PerfEvent>,
-    kind: FrameKind,
 }
 
 impl WireEncoder {
-    /// An empty encoder emitting the default sample encoding
-    /// ([`FrameKind::Planar`]).
+    /// An empty encoder.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty encoder emitting `kind` sample frames
-    /// ([`FrameKind::Varint`] keeps the legacy row-major varint
-    /// encoding, e.g. for A/B comparison or old consumers).
-    pub fn with_kind(kind: FrameKind) -> Self {
-        Self {
-            kind,
-            ..Self::default()
-        }
-    }
-
-    /// The sample encoding this encoder emits.
-    pub fn frame_kind(&self) -> FrameKind {
-        self.kind
-    }
-
-    /// Switches the sample encoding for frames pushed from now on. The
-    /// format is negotiated in-band — a decoder reads the frame-type
-    /// byte — so mid-stream switches are safe; producers conventionally
-    /// switch at layout-epoch boundaries.
-    pub fn set_frame_kind(&mut self, kind: FrameKind) {
-        self.kind = kind;
     }
 
     /// Sets the sampling decimation the control loop wants for
@@ -316,11 +238,7 @@ impl WireEncoder {
                 dec,
             )?;
         }
-        let encoded = match self.kind {
-            FrameKind::Planar => encode_planar_sample_frame(&mut self.buf, machine_id, set),
-            FrameKind::Varint => encode_sample_frame(&mut self.buf, machine_id, set),
-        };
-        match encoded {
+        match encode_planar_sample_frame(&mut self.buf, machine_id, set) {
             Ok(()) => {
                 self.last_layout.insert(machine_id, (hash, dec));
                 Ok(())

@@ -30,7 +30,7 @@
 //! [splitmix64]: https://prng.di.unimi.it/splitmix64.c
 
 use crate::decode::{CursorItem, FrameCursor};
-use crate::frame::{FrameHeader, FrameType, HEADER_LEN};
+use crate::frame::{FrameHeader, HEADER_LEN};
 use std::collections::BTreeSet;
 
 /// One way a stream can be damaged.
@@ -246,15 +246,12 @@ impl FaultPlan {
                     // All-ones counters: CPU 0 carries raw value 1 for
                     // every event, later CPUs carry zero deltas.
                     // Checksums correctly — the *producer* is insane,
-                    // not the wire. Same decoded counts in either
-                    // sample encoding; a planar target additionally
-                    // leads with an all-1-byte-width directory.
+                    // not the wire. The planar payload leads with an
+                    // all-1-byte-width directory.
                     let n_events = h.n_events as usize;
                     let cpus = (h.cpu_count as usize).max(1);
                     let mut payload = Vec::new();
-                    if h.frame_type == FrameType::PlanarSample {
-                        payload.extend(std::iter::repeat_n(0x00u8, n_events));
-                    }
+                    payload.extend(std::iter::repeat_n(0x00u8, n_events));
                     payload.extend(std::iter::repeat_n(0x01u8, n_events));
                     payload.extend(std::iter::repeat_n(0x00u8, (cpus - 1) * n_events));
                     h.payload_len = payload.len() as u32;

@@ -1,5 +1,6 @@
-//! The frame format: fixed little-endian header, LEB128 varints,
-//! zigzag deltas, and a mix-based 64-bit frame checksum.
+//! The frame format: fixed little-endian header, LEB128 layout
+//! payloads, column-planar sample payloads, and a mix-based 64-bit
+//! frame checksum.
 //!
 //! A wire stream is a concatenation of frames. Each frame is a 44-byte
 //! header followed by `payload_len` payload bytes:
@@ -8,7 +9,7 @@
 //! offset  size  field
 //!      0     2  magic        0x5754 ("TW" little-endian)
 //!      2     1  version      1
-//!      3     1  frame type   0 = layout, 1 = sample, 2 = planar sample
+//!      3     1  frame type   0 = layout, 2 = planar sample (1 reserved)
 //!      4     4  payload_len  bytes following the header
 //!      8     8  machine_id
 //!     16     8  window_seq   sampling-window sequence number
@@ -27,19 +28,17 @@
 //! means every window is transmitted, `N > 1` means the machine sends
 //! one window in `N` and expects the consumer to hold-reconstruct the
 //! rest (capped at [`MAX_DECIMATION`]; the field is checksummed like
-//! any other, and legacy producers always wrote `0`). A **sample frame**
-//! carries one machine's window of raw counts: `cpu_count × n_events`
-//! varints in layout order, CPU 0 raw and every later CPU zigzag
-//! delta-encoded against the previous CPU's count of the same event
-//! (fleet siblings count nearly alike, so deltas are short).
-//!
-//! A **planar sample frame** carries the same machine-window in the
+//! any other, and legacy producers always wrote `0`). A **planar sample
+//! frame** carries one machine's window of raw counts in the
 //! column-planar fixed-width layout of [`crate::planar`]: a per-event
 //! width directory, then raw CPU-0 base counts, then per-event
-//! contiguous planes of fixed-width little-endian zigzag deltas. The
-//! two sample encodings are interchangeable — a decoder produces
-//! bit-identical fleet rows from either — and an encoder picks one per
-//! layout epoch via [`FrameKind`].
+//! contiguous planes of fixed-width little-endian zigzag CPU-over-CPU
+//! deltas (fleet siblings count nearly alike, so lanes stay narrow).
+//!
+//! Type byte 1 once named a row-major varint sample encoding. It is
+//! retired and never reused: [`FrameHeader::parse`] rejects it as
+//! [`HeaderError::BadType`], so a stream carrying it resyncs past the
+//! frame rather than decoding it.
 //!
 //! The checksum mixes every header field (except the checksum itself)
 //! and every payload word through a chain of bijective steps
@@ -79,9 +78,6 @@ pub const MAX_DECIMATION: u16 = 1024;
 pub enum FrameType {
     /// Declares an event layout (payload: `n_events` event indices).
     Layout,
-    /// One machine-window of counts (payload: `cpu_count × n_events`
-    /// delta/varint counts).
-    Sample,
     /// One machine-window of counts in the column-planar fixed-width
     /// encoding (payload: width directory + bases + delta planes, see
     /// [`crate::planar`]).
@@ -92,7 +88,7 @@ impl FrameType {
     fn from_wire(b: u8) -> Option<Self> {
         match b {
             0 => Some(FrameType::Layout),
-            1 => Some(FrameType::Sample),
+            // 1 is the retired varint sample type: never decoded.
             2 => Some(FrameType::PlanarSample),
             _ => None,
         }
@@ -101,63 +97,15 @@ impl FrameType {
     fn to_wire(self) -> u8 {
         match self {
             FrameType::Layout => 0,
-            FrameType::Sample => 1,
             FrameType::PlanarSample => 2,
         }
     }
 
-    /// Whether this frame carries a machine-window of counts (either
-    /// sample encoding), as opposed to a layout announcement.
+    /// Whether this frame carries a machine-window of counts, as
+    /// opposed to a layout announcement.
     #[must_use]
     pub fn is_sample(self) -> bool {
-        matches!(self, FrameType::Sample | FrameType::PlanarSample)
-    }
-}
-
-/// Which sample-frame encoding an encoder emits; negotiated per layout
-/// epoch (the layout frame precedes the first sample of either kind, so
-/// a decoder needs no out-of-band signal — the frame-type byte is the
-/// negotiation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FrameKind {
-    /// Column-planar fixed-width planes ([`FrameType::PlanarSample`]).
-    /// The default: decode is a branch-free widen + zigzag +
-    /// delta-unfold instead of a serial varint walk.
-    #[default]
-    Planar,
-    /// Row-major LEB128 varints ([`FrameType::Sample`]); retained for
-    /// compatibility and as the A/B baseline.
-    Varint,
-}
-
-impl FrameKind {
-    /// Stable lower-case label (`"planar"` / `"varint"`), as accepted
-    /// by [`parse`](Self::parse) and reported in `BENCH_wire.json`.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            FrameKind::Planar => "planar",
-            FrameKind::Varint => "varint",
-        }
-    }
-
-    /// Parses a label back into a kind (`"planar"` / `"varint"`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "planar" => Some(FrameKind::Planar),
-            "varint" => Some(FrameKind::Varint),
-            _ => None,
-        }
-    }
-
-    /// The frame type sample frames of this kind carry on the wire.
-    #[must_use]
-    pub fn sample_frame_type(self) -> FrameType {
-        match self {
-            FrameKind::Planar => FrameType::PlanarSample,
-            FrameKind::Varint => FrameType::Sample,
-        }
+        self == FrameType::PlanarSample
     }
 }
 
@@ -193,7 +141,7 @@ pub enum HeaderError {
     BadMagic,
     /// Unsupported [`VERSION`].
     BadVersion,
-    /// Unknown frame-type byte.
+    /// Unknown or retired frame-type byte.
     BadType,
 }
 
@@ -303,7 +251,7 @@ fn le_word(bytes: &[u8]) -> u64 {
 /// [`FrameHeader::expected_checksum`] (which delegates here, so the two
 /// can never drift), exposed as a streaming absorb so a decoder can
 /// fold verification into the pass that is already reading the payload
-/// — varint decode — instead of walking the bytes twice.
+/// — the planar lane walk — instead of walking the bytes twice.
 ///
 /// Usage: [`new`](Self::new) seeds the lanes from the header fields;
 /// [`absorb_to`](Self::absorb_to) may be called any number of times
@@ -403,7 +351,7 @@ mod tests {
 
     fn header() -> FrameHeader {
         FrameHeader {
-            frame_type: FrameType::Sample,
+            frame_type: FrameType::PlanarSample,
             payload_len: 5,
             machine_id: 0x0123_4567_89ab_cdef,
             window_seq: 42,
@@ -437,22 +385,17 @@ mod tests {
         let mut bad = buf;
         bad[3] = 7;
         assert_eq!(FrameHeader::parse(&bad), Err(HeaderError::BadType));
-        // Wire byte 2 is the planar sample type, not an error.
-        let mut planar = buf;
-        planar[3] = 2;
-        let parsed = FrameHeader::parse(&planar).expect("planar type parses");
-        assert_eq!(parsed.frame_type, FrameType::PlanarSample);
-    }
-
-    #[test]
-    fn frame_kind_labels_roundtrip() {
-        for kind in [FrameKind::Planar, FrameKind::Varint] {
-            assert_eq!(FrameKind::parse(kind.label()), Some(kind));
-            assert!(kind.sample_frame_type().is_sample());
-        }
-        assert_eq!(FrameKind::parse("csv"), None);
-        assert_eq!(FrameKind::default(), FrameKind::Planar);
-        assert!(!FrameType::Layout.is_sample());
+        // Wire byte 1 is the retired varint sample type: never parsed.
+        let mut retired = buf;
+        retired[3] = 1;
+        assert_eq!(FrameHeader::parse(&retired), Err(HeaderError::BadType));
+        // Wire bytes 0 and 2 are the live types.
+        let mut layout = buf;
+        layout[3] = 0;
+        let parsed = FrameHeader::parse(&layout).expect("layout type parses");
+        assert_eq!(parsed.frame_type, FrameType::Layout);
+        assert!(!parsed.frame_type.is_sample());
+        assert!(FrameType::PlanarSample.is_sample());
     }
 
     #[test]
@@ -472,7 +415,8 @@ mod tests {
                 ck.absorb_to(&payload, split);
                 assert_eq!(ck.finish(&payload), want, "len {len} split {split}");
             }
-            // Many small monotone absorbs, as a varint walk produces.
+            // Many small monotone absorbs, as an incremental walk
+            // produces.
             let mut ck = PayloadChecksum::new(&h);
             for upto in (0..=len).step_by(3) {
                 ck.absorb_to(&payload, upto);

@@ -6,20 +6,18 @@
 //! a byte stream. This crate defines that stream and makes decoding it
 //! cost about as much as reading local memory:
 //!
-//! * [`frame`] — the format: 44-byte little-endian headers, two
-//!   negotiated sample encodings — LEB128 varints with cross-CPU zigzag
-//!   deltas (fleet siblings count nearly alike, so payloads stay
-//!   small), and the default column-[`planar`] fixed-width planes whose
-//!   decode is branch-free bulk kernels instead of a serial varint
-//!   walk — and a mix-based 64-bit checksum that provably catches
-//!   every single-bit corruption.
+//! * [`frame`] — the format: 44-byte little-endian headers, LEB128
+//!   layout announcements, one sample encoding — column-[`planar`]
+//!   fixed-width planes of cross-CPU zigzag deltas (fleet siblings
+//!   count nearly alike, so lanes stay narrow), decoded in one
+//!   branch-light walk — and a mix-based 64-bit checksum that provably
+//!   catches every single-bit corruption.
 //! * [`WireEncoder`] — the producer side: self-describing streams that
 //!   interleave a layout frame whenever a machine's PMU programming
-//!   changes, emitting either sample encoding ([`FrameKind`], planar by
-//!   default).
+//!   changes.
 //! * [`FrameDecoder`] — the zero-copy consumer: validates frames in
 //!   place and reduces them straight to [`SampleBatch`] rows through
-//!   the same [`RowAccumulator`] arithmetic in-memory ingestion uses,
+//!   the same [`fold_event_lanes`] arithmetic in-memory ingestion uses,
 //!   memoising event layouts by hash ([`LayoutTable`]). No intermediate
 //!   sample structs, no steady-state allocation.
 //! * [`stream_window`] — the pipeline: decoder shards on the existing
@@ -37,7 +35,7 @@
 //!   for chaos tests and `repro --faults`.
 //!
 //! [`SampleBatch`]: tdp_fleet::SampleBatch
-//! [`RowAccumulator`]: tdp_fleet::RowAccumulator
+//! [`fold_event_lanes`]: tdp_fleet::fold_event_lanes
 //!
 //! # Quickstart
 //!
@@ -84,10 +82,9 @@ mod stream;
 pub use decode::{CursorItem, DecodeError, Decoded, FrameCursor, FrameDecoder, LayoutTable};
 pub use encode::{
     encode_layout_frame, encode_layout_frame_with_decimation, encode_planar_sample_frame,
-    encode_sample_frame, EncodeError, WireEncoder,
+    EncodeError, WireEncoder,
 };
 pub use faults::{FaultKind, FaultPlan, FaultedWindow, InjectedFault};
-pub use frame::FrameKind;
 pub use health::{DegradePolicy, HealthState, PipelineHealth};
 pub use stream::{
     ingest_serial, ingest_serial_with, stream_window, stream_window_with, IngestState,

@@ -338,7 +338,7 @@ fn run_shard(
                     }
                 }
             }
-            FrameType::Sample | FrameType::PlanarSample => {
+            FrameType::PlanarSample => {
                 if !mine {
                     continue;
                 }
@@ -496,8 +496,8 @@ pub fn ingest_serial(buf: &[u8], machines: usize, est: &mut FleetEstimator) -> S
 ///
 /// This is the fused hot path, and it is *batched*: the cursor walk
 /// delta-unfolds each accepted frame straight into the batch columns
-/// (no intermediate row copy — checksum verification already overlaps
-/// the varint walk inside the decoder), sequence bookkeeping runs per
+/// (no intermediate row copy — checksum verification already rides
+/// the planar walk inside the decoder), sequence bookkeeping runs per
 /// frame, and the sanity screen runs once at the end as thirteen
 /// AND-accumulating column passes — [`DegradePolicy`]'s batched mask,
 /// bit-identical to the per-row ladder that the sharded path still
@@ -569,7 +569,7 @@ pub fn ingest_serial_with(
                 }
                 Err(_) => stats.corrupt_frames += 1,
             },
-            FrameType::Sample | FrameType::PlanarSample => {
+            FrameType::PlanarSample => {
                 stats.sample_frames += 1;
                 let pend = match dec.decode_sample_pending(&header, cursor.payload(start, &header))
                 {

@@ -3,16 +3,17 @@
 //! observationally invisible. A memoised decoder and one forced to
 //! revalidate every frame must agree bit-for-bit over battered
 //! streams, width changes, layout-epoch bumps and evictions — and the
-//! fused planar ingest must stay bit-identical to the varint reference
-//! leg when adaptive decimation, width-directory changes and a
-//! sequence reset all land in the same stream.
+//! fused planar ingest must stay bit-identical to in-memory estimation
+//! of the windows each row should hold when adaptive decimation,
+//! width-directory changes and a sequence reset all land in the same
+//! stream.
 
 use proptest::prelude::*;
 use tdp_counters::{CounterSample, CpuId, InterruptSnapshot, PerfEvent, SampleSet};
 use tdp_fleet::FleetEstimator;
 use tdp_wire::{
-    ingest_serial_with, CursorItem, Decoded, FaultPlan, FrameCursor, FrameDecoder, FrameKind,
-    IngestState, WireEncoder,
+    ingest_serial_with, CursorItem, Decoded, FaultPlan, FrameCursor, FrameDecoder, IngestState,
+    WireEncoder,
 };
 use trickledown::SystemPowerModel;
 
@@ -141,7 +142,7 @@ proptest! {
     fn memoised_decode_matches_full_revalidation_over_faulted_streams(seed in any::<u64>()) {
         const MACHINES: u64 = 10;
         let plan = FaultPlan::new(seed);
-        let mut enc = WireEncoder::with_kind(FrameKind::Planar);
+        let mut enc = WireEncoder::new();
         let mut memo = FrameDecoder::new();
         let mut reference = FrameDecoder::new();
         for w in 0..4u64 {
@@ -174,7 +175,7 @@ proptest! {
         evict_at in 1u64..7,
     ) {
         const MACHINES: u64 = 6;
-        let mut enc = WireEncoder::with_kind(FrameKind::Planar);
+        let mut enc = WireEncoder::new();
         let mut memo = FrameDecoder::new();
         let mut reference = FrameDecoder::new();
         for (w, &mag) in magnitudes.iter().enumerate() {
@@ -218,11 +219,12 @@ proptest! {
 /// (phase-staggered skipped windows), a mid-run width-directory
 /// change, and a window-sequence reset all interact with the
 /// identity-directory fast path in one stream — and the fused planar
-/// ingest must remain bit-identical to the varint reference leg, row
-/// for row, window for window, including the held/reconstructed rows
-/// of decimated machines.
+/// ingest must remain bit-identical to `FleetEstimator::process_window`
+/// over the sets each row should hold (a machine's last transmitted
+/// window, which decimated machines are reconstructed from), row for
+/// row and window for window.
 #[test]
-fn decimated_planar_stream_with_width_change_and_seq_reset_matches_varint() {
+fn decimated_planar_stream_with_width_change_and_seq_reset_matches_in_memory() {
     const MACHINES: usize = 8;
     const WINDOWS: u64 = 24;
     /// Window where machine 3's counter magnitudes jump three decades
@@ -232,20 +234,18 @@ fn decimated_planar_stream_with_width_change_and_seq_reset_matches_varint() {
     /// from 0 — the ledger re-baselines it as a reset).
     const RESET_AT: u64 = 15;
 
-    let mut planar_enc = WireEncoder::with_kind(FrameKind::Planar);
-    let mut varint_enc = WireEncoder::with_kind(FrameKind::Varint);
+    let mut enc = WireEncoder::new();
     // Mixed negotiated decimations: every-window, every-2nd, every-4th.
     for m in 0..MACHINES as u64 {
-        let dec = [1u16, 1, 2, 2, 4, 4, 4, 1][m as usize];
-        planar_enc.set_decimation(m, dec);
-        varint_enc.set_decimation(m, dec);
+        enc.set_decimation(m, [1u16, 1, 2, 2, 4, 4, 4, 1][m as usize]);
     }
 
-    let mut planar_state = IngestState::new();
-    let mut varint_state = IngestState::new();
-    let mut planar_est = FleetEstimator::new(SystemPowerModel::paper());
-    let mut varint_est = FleetEstimator::new(SystemPowerModel::paper());
-    let mut resets_seen = 0u64;
+    let mut state = IngestState::new();
+    let mut est = FleetEstimator::new(SystemPowerModel::paper());
+    let mut reference = FleetEstimator::new(SystemPowerModel::paper());
+    // The set each machine's row should hold: its last transmission.
+    let mut held: Vec<Option<SampleSet>> = vec![None; MACHINES];
+    let (mut resets_seen, mut windows_checked) = (0u64, 0u64);
 
     for w in 0..WINDOWS {
         for m in 0..MACHINES as u64 {
@@ -254,7 +254,7 @@ fn decimated_planar_stream_with_width_change_and_seq_reset_matches_varint() {
             } else {
                 w
             };
-            if !planar_enc.should_send(m, seq) {
+            if !enc.should_send(m, seq) {
                 continue;
             }
             let magnitude = if m == 3 && w >= WIDTH_JUMP_AT {
@@ -263,45 +263,42 @@ fn decimated_planar_stream_with_width_change_and_seq_reset_matches_varint() {
                 1_000
             };
             let set = scaled_set(m, seq, magnitude);
-            planar_enc.push_sample_set(m, &set).unwrap();
-            varint_enc.push_sample_set(m, &set).unwrap();
+            enc.push_sample_set(m, &set).unwrap();
+            held[m as usize] = Some(set);
         }
-        let planar_buf = planar_enc.take_bytes();
-        let varint_buf = varint_enc.take_bytes();
+        let rep = ingest_serial_with(&mut state, &enc.take_bytes(), MACHINES, &mut est);
+        assert_eq!(rep.corrupt_frames + rep.rows_quarantined, 0, "window {w}");
+        resets_seen += rep.resets_detected;
 
-        let planar_rep =
-            ingest_serial_with(&mut planar_state, &planar_buf, MACHINES, &mut planar_est);
-        let varint_rep =
-            ingest_serial_with(&mut varint_state, &varint_buf, MACHINES, &mut varint_est);
-
+        // Until every machine's first decimation phase has come round,
+        // some rows have nothing to hold yet.
+        let Some(sets) = held.iter().cloned().collect::<Option<Vec<_>>>() else {
+            continue;
+        };
         assert_eq!(
-            planar_rep.rows_written, varint_rep.rows_written,
-            "window {w}: legs committed different row counts"
+            rep.rows_written, MACHINES as u64,
+            "window {w}: every row written, fresh or reconstructed"
         );
+        reference.process_window(&sets);
         assert_eq!(
-            planar_rep.resets_detected, varint_rep.resets_detected,
-            "window {w}: legs disagree on sequence resets"
+            batch_bits(&est),
+            batch_bits(&reference),
+            "window {w}: planar batch diverged from the in-memory reference"
         );
+        let bits = |e: &mut FleetEstimator| -> Vec<u64> {
+            e.estimate().total().iter().map(|v| v.to_bits()).collect()
+        };
         assert_eq!(
-            batch_bits(&planar_est),
-            batch_bits(&varint_est),
-            "window {w}: planar batch diverged from the varint reference"
+            bits(&mut est),
+            bits(&mut reference),
+            "window {w}: estimates diverged from the in-memory reference"
         );
-        let p: Vec<u64> = planar_est
-            .estimate()
-            .total()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        let v: Vec<u64> = varint_est
-            .estimate()
-            .total()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        assert_eq!(p, v, "window {w}: estimates diverged between formats");
-        resets_seen += planar_rep.resets_detected;
+        windows_checked += 1;
     }
+    // Machine 6 (decimation 4, phase 2) is the last to transmit
+    // first: from window 2 on every row is held, so every later window
+    // was compared.
+    assert_eq!(windows_checked, WINDOWS - 2);
     // Machine 5's rebooted counter transmits again (decimation phase)
     // a window after RESET_AT; the regression is the reset going
     // unnoticed while its directory memo serves the fast path.

@@ -6,8 +6,11 @@
 use proptest::prelude::*;
 use tdp_counters::{CounterSample, CpuId, InterruptSnapshot, PerfEvent, SampleSet};
 use tdp_fleet::FleetEstimator;
-use tdp_wire::frame::HEADER_LEN;
-use tdp_wire::{ingest_serial, CursorItem, FrameCursor, StreamReport, WireEncoder};
+use tdp_parallel::WorkerPool;
+use tdp_wire::frame::{FrameHeader, HeaderError, HEADER_LEN};
+use tdp_wire::{
+    ingest_serial, stream_window, CursorItem, FrameCursor, StreamConfig, StreamReport, WireEncoder,
+};
 use trickledown::SystemPowerModel;
 
 const LAYOUT: [PerfEvent; 9] = [
@@ -213,4 +216,41 @@ fn mid_frame_cut_before_good_frames_is_skipped_not_fatal() {
         rep.corrupt_frames + rep.resyncs >= 1,
         "the mangled prefix must be detected, got {rep:?}"
     );
+}
+
+#[test]
+fn retired_sample_type_byte_is_never_decoded() {
+    // Frame type 1 once named the row-major varint sample encoding. It
+    // is retired for good: a frame carrying it must fail header parsing
+    // and be skipped by resync, never decoded as a sample.
+    let mut buf = valid_stream(2);
+    // Frames: layout 0, sample 0, layout 1, sample 1.
+    let frames: Vec<(usize, usize)> = FrameCursor::new(&buf)
+        .map(|item| match item {
+            CursorItem::Frame { start, header } => {
+                (start, HEADER_LEN + header.payload_len as usize)
+            }
+            CursorItem::Resync { .. } => panic!("clean stream resynced"),
+        })
+        .collect();
+    assert_eq!(frames.len(), 4);
+    let (start, len) = frames[1];
+    buf[start + 3] = 1;
+    assert_eq!(
+        FrameHeader::parse(&buf[start..]),
+        Err(HeaderError::BadType),
+        "type byte 1 must not parse"
+    );
+
+    // Serial fused ingest and sharded streaming agree on the verdict.
+    let pool = WorkerPool::new(3);
+    let mut est = FleetEstimator::new(SystemPowerModel::paper());
+    let sharded = stream_window(&pool, &StreamConfig::default(), &buf, 2, &mut est);
+    for rep in [ingest(&buf, 2), sharded] {
+        assert_eq!(rep.resyncs, 1, "the retired frame is one resync");
+        assert_eq!(rep.resync_bytes, len as u64, "exactly its bytes skipped");
+        assert_eq!(rep.sample_frames, 1, "only machine 1's sample decoded");
+        assert_eq!(rep.rows_written, 1);
+        assert_eq!(rep.corrupt_frames, 0);
+    }
 }

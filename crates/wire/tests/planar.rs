@@ -1,9 +1,9 @@
-//! Format-equivalence guarantees of the column-planar sample frames:
-//! whatever the layout, CPU count or value range, ingesting a planar
-//! stream produces **bit-identical** fleet rows and estimates to
-//! ingesting the same windows as varint frames — serial and sharded —
-//! and a battered planar stream degrades under exactly the same
-//! clean-subset contract as the legacy format.
+//! Bit-identity guarantees of the column-planar sample frames: whatever
+//! the layout, CPU count or value range, ingesting a planar stream
+//! produces **bit-identical** fleet rows and estimates to in-memory
+//! ingestion of the same windows (`SampleBatch::push_sample_set`) —
+//! serial and sharded — and a battered planar stream degrades under
+//! the clean-subset contract.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -11,27 +11,15 @@ use tdp_counters::{CounterSample, CpuId, InterruptSnapshot, PerfEvent, SampleSet
 use tdp_fleet::FleetEstimator;
 use tdp_parallel::WorkerPool;
 use tdp_wire::{
-    ingest_serial_with, stream_window_with, FaultKind, FaultPlan, FrameKind, IngestState,
+    ingest_serial_with, stream_window_with, DegradePolicy, FaultKind, FaultPlan, IngestState,
     StreamConfig, WireEncoder,
 };
 use trickledown::SystemPowerModel;
 
-/// Events a random layout draws from — trickle-down inputs plus the
-/// deliberately-irrelevant alternates, so layouts of any shape appear.
-const EVENT_POOL: [PerfEvent; 12] = [
-    PerfEvent::Cycles,
-    PerfEvent::HaltedCycles,
-    PerfEvent::FetchedUops,
-    PerfEvent::RetiredUops,
-    PerfEvent::L2Misses,
-    PerfEvent::L3LoadMisses,
-    PerfEvent::TlbMisses,
-    PerfEvent::BusTransactionsAll,
-    PerfEvent::DmaOtherBusTransactions,
-    PerfEvent::InterruptsTotal,
-    PerfEvent::TimerInterrupts,
-    PerfEvent::DiskInterrupts,
-];
+/// Events a random layout draws from: every event the PMU model knows —
+/// trickle-down inputs plus the deliberately-irrelevant alternates, so
+/// layouts of any shape appear.
+const EVENT_POOL: &[PerfEvent] = PerfEvent::ALL;
 
 fn xorshift(state: &mut u64) -> u64 {
     *state ^= *state << 13;
@@ -72,9 +60,9 @@ fn set_from_counts(seq: u64, layout: &[PerfEvent], counts: &[Vec<u64>]) -> Sampl
     }
 }
 
-/// Encodes `sets` as one window in the given format.
-fn encode_as(kind: FrameKind, sets: &[SampleSet]) -> Vec<u8> {
-    let mut enc = WireEncoder::with_kind(kind);
+/// Encodes `sets` as one window, machine id = index.
+fn encode(sets: &[SampleSet]) -> Vec<u8> {
+    let mut enc = WireEncoder::new();
     for (id, set) in sets.iter().enumerate() {
         enc.push_sample_set(id as u64, set).unwrap();
     }
@@ -93,11 +81,40 @@ fn total_bits(est: &mut FleetEstimator) -> Vec<u64> {
     est.estimate().total().iter().map(|v| v.to_bits()).collect()
 }
 
+/// The in-memory oracle: `sets` pushed through
+/// `SampleBatch::push_sample_set` in machine order, as
+/// `(batch bits, estimate bits)`.
+fn in_memory_bits(sets: &[SampleSet]) -> (Vec<Vec<u64>>, Vec<u64>) {
+    let mut est = FleetEstimator::new(SystemPowerModel::paper());
+    for set in sets {
+        est.push_sample_set(set);
+    }
+    (batch_bits(&est), total_bits(&mut est))
+}
+
+/// Ingest state whose sanity policy accepts every decodable row: the
+/// boundary-value windows below describe machines no policy would call
+/// plausible, and this suite pins the decode arithmetic, not the
+/// quarantine (the chaos suites own that).
+fn accept_all() -> IngestState {
+    IngestState::with_policy(DegradePolicy {
+        max_upc: f64::INFINITY,
+        max_l3_per_kilocycle: f64::INFINITY,
+        max_bus_per_megacycle: f64::INFINITY,
+        max_dma_per_cycle: f64::INFINITY,
+        max_interrupts_per_cycle: f64::INFINITY,
+        max_cpus: f64::INFINITY,
+        ..DegradePolicy::default()
+    })
+}
+
 /// Ingests `wire` serially and returns `(batch bits, estimate bits)`.
 fn serial_bits(wire: &[u8], machines: usize) -> (Vec<Vec<u64>>, Vec<u64>) {
     let mut est = FleetEstimator::new(SystemPowerModel::paper());
-    let rep = ingest_serial_with(&mut IngestState::new(), wire, machines, &mut est);
+    let rep = ingest_serial_with(&mut accept_all(), wire, machines, &mut est);
     assert_eq!(rep.corrupt_frames + rep.resyncs, 0, "clean stream");
+    assert_eq!(rep.rows_written, machines as u64, "every row fresh");
+    assert_eq!(rep.rows_quarantined, 0, "policy accepts every row");
     (batch_bits(&est), total_bits(&mut est))
 }
 
@@ -110,15 +127,10 @@ fn sharded_bits(wire: &[u8], machines: usize) -> (Vec<Vec<u64>>, Vec<u64>) {
         ..StreamConfig::default()
     };
     let mut est = FleetEstimator::new(SystemPowerModel::paper());
-    let rep = stream_window_with(
-        &mut IngestState::new(),
-        &pool,
-        &cfg,
-        wire,
-        machines,
-        &mut est,
-    );
+    let rep = stream_window_with(&mut accept_all(), &pool, &cfg, wire, machines, &mut est);
     assert_eq!(rep.corrupt_frames + rep.resyncs, 0, "clean stream");
+    assert_eq!(rep.rows_written, machines as u64, "every row fresh");
+    assert_eq!(rep.rows_quarantined, 0, "policy accepts every row");
     (batch_bits(&est), total_bits(&mut est))
 }
 
@@ -158,19 +170,24 @@ fn boundary_value() -> impl Strategy<Value = u64> {
     })
 }
 
+const MAX_MACHINES: usize = 5;
+const MAX_CPUS: usize = 12;
+const MAX_EVENTS: usize = 18;
+
 proptest! {
-    /// Core tentpole property: for any layout shape, CPU count and
-    /// value mix — including values straddling every plane-width
-    /// boundary, which induce CPU-over-CPU deltas of every zigzag
-    /// width — the planar and varint encodings of the same windows
-    /// ingest to bit-identical fleet rows and estimates.
+    /// Core property: for any layout shape, CPU count and value mix —
+    /// including values straddling every plane-width boundary, which
+    /// induce CPU-over-CPU deltas of every zigzag width — planar wire
+    /// ingest, serial and sharded, lands on the fleet rows and
+    /// estimates in-memory ingestion of the same windows produces, bit
+    /// for bit. Frames run up to 12 CPUs × 18 events (198 delta lanes).
     #[test]
-    fn planar_and_varint_ingest_bit_identically(
-        machines in 1usize..6,
-        cpus in 1usize..8,
-        n_events in 1usize..10,
+    fn planar_ingest_matches_in_memory_bit_identically(
+        machines in 1usize..MAX_MACHINES + 1,
+        cpus in 1usize..MAX_CPUS + 1,
+        n_events in 1usize..MAX_EVENTS + 1,
         layout_seed in any::<u64>(),
-        values in prop::collection::vec(boundary_value(), 6 * 8 * 10),
+        values in prop::collection::vec(boundary_value(), MAX_MACHINES * MAX_CPUS * MAX_EVENTS),
     ) {
         let layout = random_layout(n_events, layout_seed);
         let sets: Vec<SampleSet> = (0..machines)
@@ -178,7 +195,7 @@ proptest! {
                 let counts: Vec<Vec<u64>> = (0..cpus)
                     .map(|cpu| {
                         (0..n_events)
-                            .map(|e| values[(m * 8 + cpu) * 10 + e])
+                            .map(|e| values[(m * MAX_CPUS + cpu) * MAX_EVENTS + e])
                             .collect()
                     })
                     .collect();
@@ -186,17 +203,17 @@ proptest! {
             })
             .collect();
 
-        let planar = encode_as(FrameKind::Planar, &sets);
-        let varint = encode_as(FrameKind::Varint, &sets);
+        let wire = encode(&sets);
+        let want = in_memory_bits(&sets);
         prop_assert_eq!(
-            serial_bits(&planar, machines),
-            serial_bits(&varint, machines),
-            "serial ingest diverged between formats"
+            serial_bits(&wire, machines),
+            want.clone(),
+            "serial planar ingest diverged from in-memory ingest"
         );
         prop_assert_eq!(
-            sharded_bits(&planar, machines),
-            serial_bits(&varint, machines),
-            "sharded planar ingest diverged from serial varint ingest"
+            sharded_bits(&wire, machines),
+            want,
+            "sharded planar ingest diverged from in-memory ingest"
         );
     }
 }
@@ -261,14 +278,13 @@ fn width_boundary_deltas_roundtrip_bit_identically() {
         .collect();
     let sets = [set_from_counts(0, &layout, &counts)];
 
-    let planar = encode_as(FrameKind::Planar, &sets);
-    let varint = encode_as(FrameKind::Varint, &sets);
+    let wire = encode(&sets);
     assert_eq!(
-        serial_bits(&planar, 1),
-        serial_bits(&varint, 1),
-        "boundary deltas must decode identically in both formats"
+        serial_bits(&wire, 1),
+        in_memory_bits(&sets),
+        "boundary deltas must decode to the in-memory row"
     );
-    assert_eq!(sharded_bits(&planar, 1), serial_bits(&varint, 1));
+    assert_eq!(sharded_bits(&wire, 1), in_memory_bits(&sets));
 }
 
 /// A realistic in-range machine-window (the chaos leg needs rows that
@@ -324,8 +340,8 @@ fn faulted_planar_stream_upholds_the_clean_subset_invariant() {
     const WINDOWS: u64 = 10;
     let plan = FaultPlan::new(0x00c0_ffee);
 
-    let mut clean_enc = WireEncoder::with_kind(FrameKind::Planar);
-    let mut fault_enc = WireEncoder::with_kind(FrameKind::Planar);
+    let mut clean_enc = WireEncoder::new();
+    let mut fault_enc = WireEncoder::new();
     let mut clean_state = IngestState::new();
     let mut fault_state = IngestState::new();
     let mut clean_est = FleetEstimator::new(SystemPowerModel::paper());

@@ -6,20 +6,39 @@
 //! `Machine::read_counters_into` must run without heap allocation —
 //! and a whole fleet estimation window
 //! (`tdp_fleet::FleetEstimator`) must allocate nothing at all.
+//!
+//! Counting is per thread and armed only around each measured region
+//! ([`count_allocations`]), so tests running in parallel under the
+//! default runner never count each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use tdp_simsys::behavior::spin_loop_behavior;
 use tdp_simsys::{Machine, MachineConfig, TickActivity};
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Whether this thread is inside a measured region.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    /// Allocations this thread made while armed.
+    static COUNT: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation against the current thread if it is armed.
+/// `try_with` keeps allocations during thread-local teardown safe.
+fn note_allocation() {
+    let _ = ARMED.try_with(|armed| {
+        if armed.get() {
+            let _ = COUNT.try_with(|c| c.set(c.get() + 1));
+        }
+    });
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.alloc(layout)
     }
 
@@ -28,7 +47,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -36,8 +55,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+/// Runs `f` with this thread's counter armed and returns how many
+/// allocations the thread made inside it.
+fn count_allocations(f: impl FnOnce()) -> u64 {
+    COUNT.with(|c| c.set(0));
+    ARMED.with(|a| a.set(true));
+    f();
+    ARMED.with(|a| a.set(false));
+    COUNT.with(Cell::get)
 }
 
 /// A machine running four busy compute threads, ticked past warm-up so
@@ -60,11 +85,11 @@ fn warmed_machine() -> (Machine, TickActivity) {
 fn steady_state_tick_into_does_not_allocate() {
     let (mut machine, mut activity) = warmed_machine();
     const TICKS: u64 = 10_000;
-    let before = allocations();
-    for _ in 0..TICKS {
-        machine.tick_into(&mut activity);
-    }
-    let delta = allocations() - before;
+    let delta = count_allocations(|| {
+        for _ in 0..TICKS {
+            machine.tick_into(&mut activity);
+        }
+    });
     // The contract is zero steady-state allocations; a tiny budget
     // absorbs one-off buffer growth if a scratch vector crosses a
     // capacity threshold mid-measurement.
@@ -87,14 +112,14 @@ fn steady_state_counter_reads_do_not_allocate() {
         }
         machine.read_counters_into(&mut set);
     }
-    let before = allocations();
-    for _ in 0..50 {
-        for _ in 0..100 {
-            machine.tick_into(&mut activity);
+    let delta = count_allocations(|| {
+        for _ in 0..50 {
+            for _ in 0..100 {
+                machine.tick_into(&mut activity);
+            }
+            machine.read_counters_into(&mut set);
         }
-        machine.read_counters_into(&mut set);
-    }
-    let delta = allocations() - before;
+    });
     assert!(
         delta <= 8,
         "50 sampling windows allocated {delta} times — \
@@ -127,15 +152,15 @@ fn steady_state_fleet_window_does_not_allocate() {
         fleet.estimate();
     }
 
-    let before = allocations();
-    for _ in 0..50 {
-        fleet.begin_window();
-        for _ in 0..MACHINES {
-            fleet.push_sample_set(&set);
+    let delta = count_allocations(|| {
+        for _ in 0..50 {
+            fleet.begin_window();
+            for _ in 0..MACHINES {
+                fleet.push_sample_set(&set);
+            }
+            std::hint::black_box(fleet.estimate().fleet_total());
         }
-        std::hint::black_box(fleet.estimate().fleet_total());
-    }
-    let delta = allocations() - before;
+    });
     assert_eq!(
         delta, 0,
         "50 fleet windows allocated {delta} times — the steady-state \
@@ -165,7 +190,7 @@ fn steady_state_fused_planar_ingest_does_not_allocate() {
     // memo, ledger, column fold, estimate.
     const PRIME: usize = 5;
     const WINDOWS: usize = 50;
-    let mut enc = tdp_wire::WireEncoder::with_kind(tdp_wire::FrameKind::Planar);
+    let mut enc = tdp_wire::WireEncoder::new();
     let bufs: Vec<Vec<u8>> = (0..PRIME + WINDOWS)
         .map(|w| {
             set.seq = w as u64 + 1;
@@ -188,13 +213,14 @@ fn steady_state_fused_planar_ingest_does_not_allocate() {
         est.estimate();
     }
 
-    let before = allocations();
-    for buf in &bufs[PRIME..] {
-        let rep = tdp_wire::ingest_serial_with(&mut state, buf, MACHINES, &mut est);
-        assert_eq!(rep.rows_written, MACHINES as u64, "clean windows commit");
-        std::hint::black_box(est.estimate().fleet_total());
-    }
-    let delta = allocations() - before;
+    let mut rows = 0u64;
+    let delta = count_allocations(|| {
+        for buf in &bufs[PRIME..] {
+            rows += tdp_wire::ingest_serial_with(&mut state, buf, MACHINES, &mut est).rows_written;
+            std::hint::black_box(est.estimate().fleet_total());
+        }
+    });
+    assert_eq!(rows, (WINDOWS * MACHINES) as u64, "clean windows commit");
     assert_eq!(
         delta, 0,
         "{WINDOWS} fused planar windows allocated {delta} times — the \
