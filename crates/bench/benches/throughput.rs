@@ -1,9 +1,10 @@
 //! Throughput benches for the allocation-free hot paths.
 //!
-//! Companion to `repro --bench-json` (which measures the end-to-end
-//! pipeline): these isolate the per-call costs the buffer-reuse API
-//! removed — `Machine::tick_into` vs the allocating `tick`, counter
-//! reads into a reused `SampleSet`, and the pooled parallel capture.
+//! These isolate the per-call costs the buffer-reuse API removed —
+//! `Machine::tick_into` vs the allocating `tick`, counter reads into a
+//! reused `SampleSet`, and the pooled parallel capture. The full-size
+//! capture is timed in place by `perfbench` (`trace_replay`'s
+//! `setup.inputs_s` and `simsys.ticks_per_s`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -48,8 +49,7 @@ fn bench_counter_read(c: &mut Criterion) {
 }
 
 fn bench_capture(c: &mut Criterion) {
-    // A deliberately tiny capture so the bench completes in seconds; the
-    // full-size numbers live in BENCH_pipeline.json.
+    // A deliberately tiny capture so the bench completes in seconds.
     let cfg = ExperimentConfig {
         seed: 7,
         trace_seconds: 2,

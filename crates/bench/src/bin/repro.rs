@@ -1,7 +1,7 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! Usage: repro [--quick] [--seed N] [--out DIR] <experiment>...
+//! Usage: repro [--quick] [--markdown] [--seed N] [--out DIR] <experiment>...
 //!
 //! Experiments:
 //!   table1        mean subsystem power per workload   (Table 1)
@@ -18,8 +18,12 @@
 //!   shape         qualitative shape checks vs the paper
 //!   ablate        ablation studies (DESIGN.md §5)
 //!   selection     event-selection search per subsystem (§3.3)
-//!   all           everything above (except ablate)
+//!   all           everything above (except ablate and selection)
 //! ```
+//!
+//! `repro` reproduces results; it does not time anything. The fleet
+//! path's throughput and latency are measured by `perfbench`
+//! (`perfbench/README.md`).
 
 use std::process::ExitCode;
 use tdp_bench::cli::{self, USAGE};
@@ -47,49 +51,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let (cfg, wanted, markdown) = (parsed.cfg, parsed.wanted, parsed.markdown);
-    if parsed.bench_json {
-        eprintln!(
-            "repro: benchmarking pipeline throughput (seed {}, {} s traces)…",
-            cfg.seed, cfg.trace_seconds
-        );
-        println!("{}", tdp_bench::pipeline::run_and_write(&cfg));
-    }
-    if let Some(n_machines) = parsed.fleet {
-        eprintln!(
-            "repro: benchmarking fleet estimation ({n_machines} machines, seed {})…",
-            cfg.seed
-        );
-        println!("{}", tdp_bench::fleet::run_and_write(&cfg, n_machines));
-    }
-    if let Some(n_machines) = parsed.wire {
-        let anomaly = parsed.anomaly;
-        let with_anomaly = if anomaly { " + anomaly detection" } else { "" };
-        if let Some(fault_seed) = parsed.faults {
-            eprintln!(
-                "repro: chaos harness — fault-injected streaming ingest{with_anomaly} \
-                 ({n_machines} machines, fault seed {fault_seed}, seed {})…",
-                cfg.seed
-            );
-            println!(
-                "{}",
-                tdp_bench::wire::run_chaos_and_write(&cfg, n_machines, fault_seed, anomaly)
-            );
-        } else {
-            eprintln!(
-                "repro: benchmarking wire codec + streaming ingest{with_anomaly} \
-                 ({n_machines} machines, seed {})…",
-                cfg.seed
-            );
-            println!(
-                "{}",
-                tdp_bench::wire::run_and_write(&cfg, n_machines, anomaly)
-            );
-        }
-    }
-    if wanted.is_empty() {
-        return ExitCode::SUCCESS;
-    }
-
     let needs_traces = ["table1", "table2", "table3", "table4", "shape"]
         .iter()
         .any(|e| wanted.contains(*e));

@@ -1,86 +1,24 @@
-//! Fleet-scale estimation benchmark (`repro --fleet N`).
+//! Deterministic synthetic fleet counter data.
 //!
-//! Measures three ways of estimating power for N machines per window on
-//! *identical* synthetic counter data:
-//!
-//! * **naive** — one scalar [`trickledown::SystemPowerEstimator`] per
-//!   machine, a `push_sample_set` loop (the obvious pre-`tdp-fleet`
-//!   approach);
-//! * **batched** — [`tdp_fleet::FleetEstimator`]'s serial SoA path;
-//! * **pooled** — the same, sharded across the persistent
-//!   [`tdp_parallel::WorkerPool`] (bit-identical to batched by
-//!   contract, asserted here on the first window).
-//!
-//! Results land in `BENCH_fleet.json`: machines×windows per second for
-//! each path, ns per machine-estimate, the speedups over naive, and
-//! peak RSS.
+//! [`synthetic_set_into`] is the input generator of the `perfbench`
+//! fleet workloads: one realistic 4-CPU counter read per
+//! machine-window, a pure function of `(machine, window)`.
 
-use crate::pipeline::{peak_rss_kb, StageRate};
-use crate::ExperimentConfig;
-use serde::Serialize;
-use std::time::Instant;
 use tdp_counters::{CounterSample, CpuId, InterruptSnapshot, PerfEvent, SampleSet};
-use tdp_fleet::FleetEstimator;
-use tdp_parallel::WorkerPool;
-use trickledown::{SystemPowerEstimator, SystemPowerModel};
 
 /// CPUs per simulated machine (the paper's 4-way Xeon server).
 const CPUS_PER_MACHINE: usize = 4;
 
-/// Scalar-estimator history bound for the naive path: enough for a
-/// moving average, far below the 3600 default so the comparison is not
-/// dominated by ring memory.
-const NAIVE_HISTORY: usize = 64;
-
-/// Full fleet benchmark report.
-#[derive(Debug, Clone, Serialize)]
-pub struct FleetReport {
-    /// Machines per window.
-    pub n_machines: usize,
-    /// Windows processed per path.
-    pub windows: u64,
-    /// Worker-pool concurrency used by the pooled path.
-    pub workers: usize,
-    /// Naive path: units are machine-windows.
-    pub naive: StageRate,
-    /// Batched serial path.
-    pub batched: StageRate,
-    /// Batched path sharded over the persistent pool.
-    pub pooled: StageRate,
-    /// Nanoseconds per machine-estimate, naive path.
-    pub naive_ns_per_estimate: f64,
-    /// Nanoseconds per machine-estimate, batched serial path.
-    pub batched_ns_per_estimate: f64,
-    /// Nanoseconds per machine-estimate, pooled path.
-    pub pooled_ns_per_estimate: f64,
-    /// Batched-serial speedup over naive (machines×windows/sec ratio).
-    pub speedup_batched: f64,
-    /// Pooled speedup over naive — the headline number.
-    pub speedup_pooled: f64,
-    /// Peak resident set (VmHWM), kilobytes; 0 when unavailable.
-    pub peak_rss_kb: u64,
-    /// Kernel dispatch flavour the run used (`scalar` / `wide` — see
-    /// [`tdp_simd::Dispatch::active`]).
-    pub simd: &'static str,
-}
-
-/// Deterministic synthetic counter read for one machine-window:
-/// realistic magnitudes (≈3 GHz × 1 s windows), every event-rate input
-/// exercised, varying by machine and window so neither path can
-/// special-case repeated values. Shared with the wire codec benchmark
-/// (`repro --wire N`) so both report on identical data.
-pub fn synthetic_set(machine: usize, window: u64) -> SampleSet {
-    let mut set = SampleSet::empty();
-    synthetic_set_into(&mut set, machine, window);
-    set
-}
-
-/// In-place flavour of [`synthetic_set`]: regenerates the same draws
-/// into an existing set, reusing its `per_cpu` arena (and each sample's
-/// inline count store) instead of reallocating. The timed harness loops
-/// regenerate a whole fleet's sets every window; with thousands of
-/// machines that is tens of thousands of short-lived heap allocations
-/// per window — pure generator overhead that pollutes the allocator and
+/// Deterministic synthetic counter read for one machine-window,
+/// regenerated in place: realistic magnitudes (≈3 GHz × 1 s windows),
+/// every event-rate input exercised, varying by machine and window so
+/// no consumer can special-case repeated values.
+///
+/// Reuses `out`'s `per_cpu` arena (and each sample's inline count
+/// store) instead of reallocating. A benchmark loop regenerates a whole
+/// fleet's sets every window; with thousands of machines, fresh sets
+/// would be tens of thousands of short-lived heap allocations per
+/// window — pure generator overhead that pollutes the allocator and
 /// cache state the timed paths then run under, and that a production
 /// ingester (fed fresh network buffers, not regenerated sample structs)
 /// never pays.
@@ -141,181 +79,44 @@ pub fn synthetic_set_into(out: &mut SampleSet, machine: usize, window: u64) {
     out.interrupts = InterruptSnapshot::default();
 }
 
-/// Refills a fleet's worth of sets for `window`, growing the vector on
-/// the first call and reusing every allocation afterwards.
-pub(crate) fn refill_sets(sets: &mut Vec<SampleSet>, n_machines: usize, window: u64) {
-    sets.resize_with(n_machines, SampleSet::empty);
-    for (m, set) in sets.iter_mut().enumerate() {
-        synthetic_set_into(set, m, window);
-    }
-}
-
-/// Runs all three paths over the same windows and assembles the report.
-pub fn run(cfg: &ExperimentConfig, n_machines: usize) -> FleetReport {
-    let n_machines = n_machines.max(1);
-    // Enough windows that per-window timing noise (scheduler
-    // preemption on small shared hosts) averages out, capped so huge
-    // fleets still finish promptly.
-    let windows: u64 = (1_048_576 / n_machines as u64).clamp(16, 1024);
-    let model = SystemPowerModel::paper();
-    let pool = WorkerPool::global();
-
-    let mut naive: Vec<SystemPowerEstimator> = (0..n_machines)
-        .map(|_| SystemPowerEstimator::with_capacity(model.clone(), NAIVE_HISTORY))
-        .collect();
-    let mut serial = FleetEstimator::with_capacity(model.clone(), n_machines);
-    let mut pooled = FleetEstimator::with_capacity(model.clone(), n_machines);
-
-    let mut sets: Vec<SampleSet> = Vec::with_capacity(n_machines);
-    let (mut naive_secs, mut batched_secs, mut pooled_secs) = (0.0f64, 0.0, 0.0);
-
-    // Warm-up window: fault in buffers and reach the allocation-free
-    // steady state before timing starts (seeded off the seed so the
-    // measured windows never repeat it).
-    for warmup in [true, false] {
-        let measured_windows = if warmup { 1 } else { windows };
-        for w in 0..measured_windows {
-            let window = if warmup { u64::MAX } else { w ^ cfg.seed };
-            refill_sets(&mut sets, n_machines, window);
-
-            // Rotate the order the three paths run in so cache-warmth
-            // position bias (whoever runs right after `sets` is
-            // regenerated sees it hottest) averages out over windows.
-            let mut naive_total = 0.0;
-            let (mut naive_elapsed, mut batched_elapsed, mut pooled_elapsed) = (0.0f64, 0.0, 0.0);
-            for step in 0..3 {
-                match (step + w as usize) % 3 {
-                    0 => {
-                        let start = Instant::now();
-                        naive_total = 0.0;
-                        for (est, set) in naive.iter_mut().zip(&sets) {
-                            naive_total += est.push_sample_set(set).total();
-                        }
-                        naive_elapsed = start.elapsed().as_secs_f64();
-                        std::hint::black_box(naive_total);
-                    }
-                    1 => {
-                        let start = Instant::now();
-                        let serial_est = serial.process_window(&sets);
-                        batched_elapsed = start.elapsed().as_secs_f64();
-                        std::hint::black_box(serial_est.fleet_total());
-                    }
-                    _ => {
-                        let start = Instant::now();
-                        let pooled_est = pooled.process_window_pooled(pool, &sets);
-                        pooled_elapsed = start.elapsed().as_secs_f64();
-                        std::hint::black_box(pooled_est.fleet_total());
-                    }
-                }
-            }
-
-            if warmup {
-                // Determinism spot-check on untimed data: pooled must be
-                // bit-identical to serial, and both within float noise of
-                // the scalar estimators.
-                let serial_est = serial.estimates();
-                let pooled_est = pooled.estimates();
-                assert_eq!(serial_est.total(), pooled_est.total());
-                assert_eq!(serial_est.cpu(), pooled_est.cpu());
-                assert_eq!(serial_est.disk(), pooled_est.disk());
-                let batched_fleet_total = serial_est.fleet_total();
-                assert!(
-                    (naive_total - batched_fleet_total).abs()
-                        < 1e-6 * batched_fleet_total.abs().max(1.0),
-                    "batched disagrees with scalar: {naive_total} vs {batched_fleet_total}"
-                );
-            } else {
-                naive_secs += naive_elapsed;
-                batched_secs += batched_elapsed;
-                pooled_secs += pooled_elapsed;
-            }
-        }
-    }
-
-    let units = windows * n_machines as u64;
-    let naive_rate = StageRate::new(units, naive_secs);
-    let batched_rate = StageRate::new(units, batched_secs);
-    let pooled_rate = StageRate::new(units, pooled_secs);
-    FleetReport {
-        n_machines,
-        windows,
-        workers: pool.workers(),
-        naive_ns_per_estimate: naive_secs * 1e9 / units as f64,
-        batched_ns_per_estimate: batched_secs * 1e9 / units as f64,
-        pooled_ns_per_estimate: pooled_secs * 1e9 / units as f64,
-        speedup_batched: batched_rate.per_sec / naive_rate.per_sec,
-        speedup_pooled: pooled_rate.per_sec / naive_rate.per_sec,
-        naive: naive_rate,
-        batched: batched_rate,
-        pooled: pooled_rate,
-        peak_rss_kb: peak_rss_kb(),
-        simd: tdp_simd::Dispatch::active().label(),
-    }
-}
-
-/// Runs the benchmark, writes `BENCH_fleet.json` under the output
-/// directory and returns the rendered JSON.
-///
-/// # Panics
-///
-/// Panics if the output directory is unwritable (consistent with the
-/// rest of the repro harness).
-pub fn run_and_write(cfg: &ExperimentConfig, n_machines: usize) -> String {
-    let report = run(cfg, n_machines);
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::create_dir_all(&cfg.out_dir).expect("create output dir");
-    let path = cfg.out_dir.join("BENCH_fleet.json");
-    std::fs::write(&path, &json).expect("write BENCH_fleet.json");
-    eprintln!("bench: wrote {}", path.display());
-    json
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn fresh(machine: usize, window: u64) -> SampleSet {
+        let mut set = SampleSet::empty();
+        synthetic_set_into(&mut set, machine, window);
+        set
+    }
+
     #[test]
     fn synthetic_sets_are_deterministic_and_varied() {
-        let a = synthetic_set(3, 7);
-        let b = synthetic_set(3, 7);
-        assert_eq!(a, b);
-        assert_ne!(a, synthetic_set(4, 7), "varies by machine");
-        assert_ne!(a, synthetic_set(3, 8), "varies by window");
+        let a = fresh(3, 7);
+        assert_eq!(a, fresh(3, 7));
+        assert_ne!(a, fresh(4, 7), "varies by machine");
+        assert_ne!(a, fresh(3, 8), "varies by window");
         assert_eq!(a.per_cpu.len(), CPUS_PER_MACHINE);
     }
 
     #[test]
     fn refill_matches_fresh_generation() {
         // Reusing a set's allocations must produce the exact sample a
-        // fresh build would — the harness's bit-identity asserts across
-        // codec paths all assume the generator is state-free.
-        let mut reused = synthetic_set(0, 0);
+        // fresh build would: the generator is state-free.
+        let mut reused = fresh(0, 0);
         for (machine, window) in [(5usize, 11u64), (0, 3), (5, 11), (7, u64::MAX)] {
             synthetic_set_into(&mut reused, machine, window);
-            assert_eq!(reused, synthetic_set(machine, window));
+            assert_eq!(reused, fresh(machine, window));
         }
 
-        let mut sets = Vec::new();
-        refill_sets(&mut sets, 3, 9);
+        // A fleet regenerated window after window keeps every arena.
+        let mut sets: Vec<SampleSet> = (0..3).map(|m| fresh(m, 9)).collect();
         let caps: Vec<_> = sets.iter().map(|s| s.per_cpu.capacity()).collect();
-        refill_sets(&mut sets, 3, 10);
+        for (m, set) in sets.iter_mut().enumerate() {
+            synthetic_set_into(set, m, 10);
+        }
         for (m, set) in sets.iter().enumerate() {
-            assert_eq!(*set, synthetic_set(m, 10));
+            assert_eq!(*set, fresh(m, 10));
             assert_eq!(set.per_cpu.capacity(), caps[m], "arena was reallocated");
         }
-    }
-
-    #[test]
-    fn small_fleet_report_is_consistent() {
-        let cfg = ExperimentConfig {
-            out_dir: std::env::temp_dir().join("tdp-fleet-bench-test"),
-            ..ExperimentConfig::quick()
-        };
-        let r = run(&cfg, 8);
-        assert_eq!(r.n_machines, 8);
-        assert_eq!(r.naive.units, r.windows * 8);
-        assert!(r.naive.per_sec > 0.0);
-        assert!(r.speedup_batched > 0.0);
-        assert!((r.speedup_pooled - r.pooled.per_sec / r.naive.per_sec).abs() < 1e-12);
     }
 }

@@ -1,10 +1,12 @@
-//! Shared harness code for the reproduction binary and the Criterion
-//! benches.
+//! Shared harness code for the reproduction binary, the Criterion
+//! benches and `perfbench`.
 //!
 //! The experiment index lives in `DESIGN.md`; each `Experiment` here
 //! regenerates one of the paper's tables or figures. Traces are captured
 //! in parallel and results are written both as human-readable tables on
-//! stdout and as CSV files under the output directory.
+//! stdout and as CSV files under the output directory. [`fleet`] holds
+//! the synthetic fleet generator `perfbench` drives its fleet workloads
+//! with; timing lives in `perfbench` alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,9 +16,9 @@ pub mod cli;
 pub mod experiments;
 pub mod figures;
 pub mod fleet;
-pub mod pipeline;
 pub mod selection;
-pub mod wire;
+#[cfg(test)]
+mod wire;
 
 use std::path::PathBuf;
 use tdp_workloads::{Workload, WorkloadSet};

@@ -176,7 +176,8 @@ impl SampleBatch {
     }
 
     /// Resizes every column to `machines` rows for the indexed write
-    /// paths ([`set_row`](Self::set_row) and the pooled shard writer).
+    /// paths ([`set_row`](Self::set_row) and
+    /// [`FleetEstimator::process_window`](crate::FleetEstimator::process_window)).
     /// Rows grown beyond the current length are zeroed; rows already
     /// present keep their values (call [`clear`](Self::clear) first for
     /// an all-zero window).

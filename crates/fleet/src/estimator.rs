@@ -4,7 +4,6 @@
 use crate::batch::{col, extract_sets_into, LayoutCache, SampleBatch, COLUMNS};
 use crate::kernels::{add_assign, axpy, clamp_predictions, fill, quadratic, quadratic_acc};
 use tdp_counters::{SampleSet, Subsystem};
-use tdp_parallel::WorkerPool;
 use tdp_powermeter::SubsystemPower;
 use trickledown::{MemoryInput, SystemPowerModel, SystemSample};
 
@@ -118,8 +117,9 @@ impl FleetEstimates {
 /// Evaluates the model over whole columns, returning how many
 /// subsystem predictions had to be clamped to their valid range (a
 /// pipeline-health signal: non-zero means some machine reported rates
-/// outside what the models were calibrated for). Elementwise — the
-/// basis of the serial == sharded determinism guarantee.
+/// outside what the models were calibrated for). Elementwise — a
+/// machine's estimate depends on its own row alone, which is what
+/// keeps serial and sharded wire ingest bit-identical.
 fn evaluate(
     model: &SystemPowerModel,
     cols: &[&[f64]; COLUMNS],
@@ -212,12 +212,7 @@ fn evaluate(
 /// Per window the cycle is: [`begin_window`](Self::begin_window), one
 /// [`push_sample_set`](Self::push_sample_set) per machine, then
 /// [`estimate`](Self::estimate) — or hand the whole window's sets to
-/// [`process_window`](Self::process_window) /
-/// [`process_window_pooled`](Self::process_window_pooled). The pooled
-/// path shards machines across a persistent
-/// [`WorkerPool`] and is bit-identical to the serial path for any
-/// worker count (every kernel is elementwise; see
-/// [`kernels`](crate::kernels)).
+/// [`process_window`](Self::process_window).
 ///
 /// # Example
 ///
@@ -331,96 +326,22 @@ impl FleetEstimator {
 
     /// One whole window, serially: clear, ingest every set, evaluate.
     ///
-    /// Runs the same fused ingest-and-evaluate routine the pooled path
-    /// gives each shard (indexed column writes instead of per-column
-    /// pushes), over the whole fleet as one range.
+    /// Extraction writes indexed rows into the resized columns instead
+    /// of pushing per column, and the model runs over them while they
+    /// are still cache-hot.
     pub fn process_window(&mut self, sets: &[SampleSet]) -> &FleetEstimates {
         let n = sets.len();
         self.batch.resize_rows(n);
         self.estimates.resize_rows(n);
-        self.estimates.clamped = ingest_evaluate(
-            &self.model,
-            &mut self.batch.col_slices_mut(),
-            &mut self.estimates.col_slices_mut(),
-            sets,
-        );
+        let cols = &mut self.batch.col_slices_mut();
+        // Layout cache per call: all-inline, so no allocation.
+        extract_sets_into(sets, &mut LayoutCache::default(), cols);
+        let shared: [&[f64]; COLUMNS] = cols.each_ref().map(|s| &**s);
+        self.estimates.clamped =
+            evaluate(&self.model, &shared, &mut self.estimates.col_slices_mut());
         self.windows += 1;
         &self.estimates
     }
-
-    /// One whole window sharded across `pool`: each shard ingests and
-    /// evaluates a contiguous machine range, fused, so column data is
-    /// still cache-hot when the kernels consume it. Results are
-    /// bit-identical to [`process_window`](Self::process_window)
-    /// regardless of worker count.
-    pub fn process_window_pooled(
-        &mut self,
-        pool: &WorkerPool,
-        sets: &[SampleSet],
-    ) -> &FleetEstimates {
-        let n = sets.len();
-        self.batch.resize_rows(n);
-        self.estimates.resize_rows(n);
-
-        // Shard size: a few shards per worker for load balance, but
-        // wide enough that the column kernels still vectorise well.
-        // A single worker has nothing to balance, so it gets the whole
-        // fleet as one shard.
-        let workers = pool.workers().max(1);
-        let shard = if workers == 1 {
-            n.max(1)
-        } else {
-            n.div_ceil(workers * 4).max(16)
-        };
-
-        let mut col_rem = self.batch.col_slices_mut();
-        let mut out_rem = self.estimates.col_slices_mut();
-        let mut shards = Vec::with_capacity(n.div_ceil(shard));
-        let mut start = 0;
-        while start < n {
-            let take = shard.min(n - start);
-            let cols: [&mut [f64]; COLUMNS] = std::array::from_fn(|k| {
-                let rest = std::mem::take(&mut col_rem[k]);
-                let (head, tail) = rest.split_at_mut(take);
-                col_rem[k] = tail;
-                head
-            });
-            let outs: [&mut [f64]; OUT_COLUMNS] = std::array::from_fn(|k| {
-                let rest = std::mem::take(&mut out_rem[k]);
-                let (head, tail) = rest.split_at_mut(take);
-                out_rem[k] = tail;
-                head
-            });
-            shards.push((cols, outs, &sets[start..start + take]));
-            start += take;
-        }
-
-        let model = &self.model;
-        let per_shard = pool.par_map(shards, |(mut cols, mut outs, sets)| {
-            ingest_evaluate(model, &mut cols, &mut outs, sets)
-        });
-        self.estimates.clamped = per_shard.iter().sum();
-
-        self.windows += 1;
-        &self.estimates
-    }
-}
-
-/// Ingests `sets` into the column slices (indexed writes) and evaluates
-/// the model over them — the per-shard body of the pooled path, and the
-/// whole-fleet body of the serial one. Both call exactly this, which is
-/// what makes them bit-identical by construction.
-fn ingest_evaluate(
-    model: &SystemPowerModel,
-    cols: &mut [&mut [f64]; COLUMNS],
-    outs: &mut [&mut [f64]; OUT_COLUMNS],
-    sets: &[SampleSet],
-) -> u64 {
-    // Layout cache per call: all-inline, so no allocation.
-    let mut layout = LayoutCache::default();
-    extract_sets_into(sets, &mut layout, cols);
-    let shared: [&[f64]; COLUMNS] = cols.each_ref().map(|s| &**s);
-    evaluate(model, &shared, outs)
 }
 
 #[cfg(test)]

@@ -18,10 +18,9 @@
 //! * [`FleetEstimator`] — vectorized evaluation. Equations 1–5 are
 //!   linear/quadratic forms, so each model coefficient becomes one
 //!   `axpy` pass over a column ([`kernels`]); output lands in
-//!   caller-owned column buffers reused window after window. The pooled
-//!   path shards machines across a persistent
-//!   [`tdp_parallel::WorkerPool`] and is **bit-identical** to serial
-//!   for any worker count, because every kernel is elementwise.
+//!   caller-owned column buffers reused window after window. Every
+//!   kernel is elementwise, so a machine's estimate depends on its own
+//!   row alone, however the rows were ingested.
 //! * [`StreamingCalibrator`] — recursive-least-squares calibration
 //!   ([`tdp_modeling::fit_rls`]): models refresh per window at
 //!   `O(k²)` cost instead of re-solving the normal equations over the

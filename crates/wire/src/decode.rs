@@ -343,28 +343,6 @@ impl FrameDecoder {
         })
     }
 
-    /// Dev-only profiling hook: sample decode without the row fold.
-    #[doc(hidden)]
-    pub fn profile_pending_only(
-        &mut self,
-        header: &FrameHeader,
-        payload: &[u8],
-    ) -> Result<u64, DecodeError> {
-        self.decode_sample_pending(header, payload)
-            .map(|p| p.window_seq)
-    }
-
-    /// Dev-only profiling hook: sample decode + fold, no `Decoded` enum.
-    #[doc(hidden)]
-    pub fn profile_row(
-        &mut self,
-        header: &FrameHeader,
-        payload: &[u8],
-    ) -> Result<[f64; COLUMNS], DecodeError> {
-        let p = self.decode_sample_pending(header, payload)?;
-        Ok(self.fold_row(&p))
-    }
-
     /// The structural half of a sample decode: layout lookup, geometry
     /// checks, and the single-pass decode into the f64 lane buffer
     /// (event-major — see [`crate::planar`]). Whatever this returns,

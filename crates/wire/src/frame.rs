@@ -205,7 +205,7 @@ impl FrameHeader {
 
     /// The checksum this header + payload *should* carry.
     ///
-    /// One-shot form of [`PayloadChecksum`] (the single definition of
+    /// One-shot form of `PayloadChecksum` (the single definition of
     /// the algorithm): seed from the header, absorb the whole payload,
     /// fold the lanes.
     pub fn expected_checksum(&self, payload: &[u8]) -> u64 {
@@ -262,7 +262,7 @@ fn le_word(bytes: &[u8]) -> u64 {
 /// absorb calls are spaced — the chunk→lane assignment is a pure
 /// function of byte position.
 #[derive(Debug, Clone, Copy)]
-pub struct PayloadChecksum {
+pub(crate) struct PayloadChecksum {
     h: u64,
     lane: u64,
     /// Payload bytes already absorbed (always a multiple of 16 until

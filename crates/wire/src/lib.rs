@@ -32,7 +32,7 @@
 //!   which every fault is accounted.
 //! * [`faults`] — a seeded, deterministic fault injector
 //!   ([`FaultPlan`]) that damages encoded windows in replayable ways,
-//!   for chaos tests and `repro --faults`.
+//!   for the chaos tests.
 //!
 //! [`SampleBatch`]: tdp_fleet::SampleBatch
 //! [`fold_event_lanes`]: tdp_fleet::fold_event_lanes

@@ -24,7 +24,7 @@
 //! plane's largest zigzag delta (bases likewise), so the encoding is
 //! canonical: one window has exactly one planar payload.
 //!
-//! Decode is one walk for every frame size ([`decode_planes`]): each
+//! Decode is one walk for every frame size (`decode_planes`): each
 //! plane is read as a single bounds-checked slice at its constant
 //! width, and the lane loop unzigzags, prefix-sums and widens to f64
 //! in one pass. The decode **emits f64 lanes directly** — event-major,
@@ -119,7 +119,7 @@ pub(crate) fn encode_payload(buf: &mut Vec<u8>, set: &SampleSet) {
 /// byte-identical to a previously accepted frame's with identical
 /// geometry, so the skipped checks could only repeat their earlier
 /// verdict. Every per-lane/per-plane bounds check still runs.
-pub fn decode_planes(
+pub(crate) fn decode_planes(
     payload: &[u8],
     n_events: usize,
     cpus: usize,

@@ -3,11 +3,13 @@
 //! lands in a pipeline-health counter, machines untouched by recent
 //! faults estimate **bit-identically** to a fault-free run, and the
 //! whole scenario replays deterministically (serial and sharded alike).
+//! The anomaly detector judging the battered estimates stays
+//! bit-identical between its serial and pooled updates.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use tdp_counters::{CounterSample, CpuId, InterruptSnapshot, PerfEvent, SampleSet};
-use tdp_fleet::FleetEstimator;
+use tdp_fleet::{AnomalyConfig, AnomalyDetector, FleetEstimator};
 use tdp_parallel::WorkerPool;
 use tdp_wire::{
     ingest_serial, ingest_serial_with, stream_window_with, FaultKind, FaultPlan, FaultedWindow,
@@ -154,6 +156,18 @@ fn faulted_stream_degrades_gracefully_and_clean_subset_is_bit_identical() {
     let mut clean_est = FleetEstimator::new(SystemPowerModel::paper());
     let mut serial_est = FleetEstimator::new(SystemPowerModel::paper());
     let mut stream_est = FleetEstimator::new(SystemPowerModel::paper());
+    // A baseline shorter than the run and a threshold inside this
+    // fleet's spread, so the detector judges windows under fire and
+    // hands out Anomalous and Suspect verdicts, not only Normal ones.
+    let detector_cfg = AnomalyConfig {
+        baseline_windows: 3,
+        threshold: 1.0,
+        ..AnomalyConfig::default()
+    };
+    assert!((detector_cfg.baseline_windows as u64) < WINDOWS);
+    let mut serial_det = AnomalyDetector::new(detector_cfg);
+    let mut pooled_det = AnomalyDetector::new(detector_cfg);
+    let mut flagged = 0u64;
 
     // Machines hit by a fault within the staleness span may hold or
     // re-learn state; everything outside that trailing set must match
@@ -235,6 +249,19 @@ fn faulted_stream_degrades_gracefully_and_clean_subset_is_bit_identical() {
         );
         let serial_bits = estimate_bits(&mut serial_est);
         let stream_bits = estimate_bits(&mut stream_est);
+
+        // Detector under fire: serial and pooled judgement of the
+        // faulted estimates leave bit-identical state every window.
+        serial_det.update(serial_est.estimates());
+        pooled_det.update_pooled(serial_est.estimates(), &pool);
+        assert_eq!(
+            serial_det.digest(),
+            pooled_det.digest(),
+            "window {w}: serial and pooled detectors diverged on faulted estimates"
+        );
+        let verdicts = serial_det.summary();
+        flagged += verdicts.anomalous + verdicts.suspect;
+
         for m in 0..MACHINES as u64 {
             if dirty.contains(&m) {
                 continue;
@@ -253,6 +280,8 @@ fn faulted_stream_degrades_gracefully_and_clean_subset_is_bit_identical() {
         total_injected >= WINDOWS - 1,
         "plan injected only {total_injected} faults over {WINDOWS} windows"
     );
+    assert!(serial_det.warmed(), "the run must outlast detector warm-up");
+    assert!(flagged > 0, "the detector never judged a machine abnormal");
 }
 
 proptest! {

@@ -9,13 +9,8 @@
 //! captured records.
 
 use tdp_bench::{capture_all, capture_workload, ExperimentConfig};
-use tdp_counters::SampleSet;
-use tdp_fleet::FleetEstimator;
 use tdp_parallel::WorkerPool;
-use tdp_simsys::behavior::spin_loop_behavior;
-use tdp_simsys::{Machine, MachineConfig};
 use tdp_workloads::Workload;
-use trickledown::SystemPowerModel;
 
 fn tiny_cfg() -> ExperimentConfig {
     ExperimentConfig {
@@ -49,54 +44,6 @@ fn repeat_parallel_captures_are_identical() {
     let a = capture_all(&cfg);
     let b = capture_all(&cfg);
     assert_eq!(a, b);
-}
-
-/// Counter reads from simulated machines in distinct states, enough of
-/// them that the pooled fleet path splits them into several shards.
-fn fleet_sets() -> Vec<SampleSet> {
-    (0..70)
-        .map(|m| {
-            let mut machine = Machine::new(MachineConfig::default());
-            for cpu in 0..4 {
-                machine
-                    .os_mut()
-                    .spawn(Box::new(spin_loop_behavior(0.3 + m as f64 * 0.02)), cpu);
-            }
-            for _ in 0..200 + m * 17 {
-                machine.tick();
-            }
-            machine.read_counters()
-        })
-        .collect()
-}
-
-#[test]
-fn fleet_pooled_estimation_is_bit_identical_across_worker_counts() {
-    let sets = fleet_sets();
-    let model = SystemPowerModel::paper();
-    let mut serial = FleetEstimator::new(model.clone());
-    serial.process_window(&sets);
-    let baseline = serial.estimates();
-
-    // 1 = inline serial loop, 2 = smallest true multi-shard split, and
-    // a count at least as large as the host provides.
-    let max_workers = tdp_parallel::available_workers().max(3);
-    for workers in [1, 2, max_workers] {
-        let pool = WorkerPool::new(workers);
-        let mut pooled = FleetEstimator::new(model.clone());
-        pooled.process_window_pooled(&pool, &sets);
-        let est = pooled.estimates();
-        assert_eq!(est.cpu(), baseline.cpu(), "cpu, workers={workers}");
-        assert_eq!(est.memory(), baseline.memory(), "memory, workers={workers}");
-        assert_eq!(est.disk(), baseline.disk(), "disk, workers={workers}");
-        assert_eq!(est.io(), baseline.io(), "io, workers={workers}");
-        assert_eq!(
-            est.chipset(),
-            baseline.chipset(),
-            "chipset, workers={workers}"
-        );
-        assert_eq!(est.total(), baseline.total(), "total, workers={workers}");
-    }
 }
 
 #[test]
