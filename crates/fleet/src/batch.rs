@@ -150,9 +150,9 @@ impl SampleBatch {
 
     /// Overwrites row `machine` with a pre-aggregated column row — the
     /// indexed counterpart of [`push_row`](Self::push_row) for writers
-    /// that place machines at fixed positions (the streaming wire
-    /// ingest keys rows by machine id so decoder sharding cannot change
-    /// results).
+    /// that place machines at fixed positions (the wire ingest keys
+    /// rows by machine id, so frame order within a window cannot
+    /// change results).
     ///
     /// # Panics
     ///
@@ -187,7 +187,7 @@ impl SampleBatch {
         }
     }
 
-    /// All columns as mutable slices, for the sharded write path.
+    /// All columns as mutable slices, for the indexed write paths.
     pub(crate) fn col_slices_mut(&mut self) -> [&mut [f64]; COLUMNS] {
         let mut it = self.cols.iter_mut();
         std::array::from_fn(|_| it.next().expect("13 columns").as_mut_slice())

@@ -86,9 +86,9 @@ impl FleetEstimates {
     /// Total estimated watts across the whole fleet.
     ///
     /// Reduced with [`crate::kernels::sum`]'s fixed four-accumulator
-    /// association: identical across dispatch modes (and across serial
-    /// vs sharded evaluation, since the reduction always runs over the
-    /// whole assembled column), a few ulp from a sequential sum.
+    /// association: identical across dispatch modes (the reduction
+    /// always runs over the whole assembled column), a few ulp from a
+    /// sequential sum.
     pub fn fleet_total(&self) -> f64 {
         crate::kernels::sum(&self.cols[OUT_TOTAL])
     }
@@ -119,7 +119,7 @@ impl FleetEstimates {
 /// pipeline-health signal: non-zero means some machine reported rates
 /// outside what the models were calibrated for). Elementwise — a
 /// machine's estimate depends on its own row alone, which is what
-/// keeps serial and sharded wire ingest bit-identical.
+/// keeps wire and in-memory ingest bit-identical.
 fn evaluate(
     model: &SystemPowerModel,
     cols: &[&[f64]; COLUMNS],

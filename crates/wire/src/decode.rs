@@ -306,10 +306,10 @@ impl FrameDecoder {
     /// Decodes a sample frame up to (but not including) the row
     /// reduction: checksum verification fused into the planar walk,
     /// delta chain unfolded into the decoder's lane buffer. The caller
-    /// folds the lanes with [`fold_row`](Self::fold_row) (sharded
-    /// ingest, which ships rows through rings) or
-    /// [`fold_into`](Self::fold_into) (serial fused ingest, straight
-    /// into the batch's columns) — the fold must happen before the next
+    /// folds the lanes with [`fold_row`](Self::fold_row) (the per-row
+    /// path behind [`decode_frame`](Self::decode_frame)) or
+    /// [`fold_into`](Self::fold_into) (fused ingest, straight into the
+    /// batch's columns) — the fold must happen before the next
     /// decode reuses the buffer.
     ///
     /// Error precedence is identical to the historical two-pass decode:
@@ -479,7 +479,7 @@ pub(crate) struct PendingSample {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CursorItem {
     /// A well-framed frame (header parsed; checksum **not** yet
-    /// verified — skip-scanning shards only verify frames they own).
+    /// verified — that happens when the payload is decoded).
     Frame {
         /// Byte offset of the frame's header in the stream.
         start: usize,
@@ -496,9 +496,9 @@ pub enum CursorItem {
 }
 
 /// Splits a byte stream into frames, resynchronising on the magic
-/// number after corruption. Every decoder shard runs an identical
-/// cursor over the identical buffer, so all shards agree on frame
-/// boundaries and ownership even around corrupt regions.
+/// number after corruption. Framing depends on the bytes alone, so
+/// every walk over the same buffer agrees on frame boundaries even
+/// around corrupt regions.
 #[derive(Debug, Clone)]
 pub struct FrameCursor<'a> {
     buf: &'a [u8],

@@ -219,7 +219,7 @@ pub(crate) enum Hold {
     AlreadyStale,
 }
 
-/// Column-major (SoA) per-machine health ledger for one decoder shard.
+/// Column-major (SoA) per-machine health ledger.
 ///
 /// Replaces a vector of per-machine structs: the hold / staleness pass
 /// and the batched clean-window commit each touch one *field* across
@@ -227,8 +227,8 @@ pub(crate) enum Hold {
 /// by machine id, and the last good rows live column-major like
 /// [`tdp_fleet::SampleBatch`]. The ladder semantics are exactly the
 /// per-row transitions documented on [`HealthState`] — the chaos
-/// property suite pins them against seeded fault plans, serial vs
-/// sharded.
+/// property suite pins them against seeded fault plans, batched fused
+/// ingest vs the per-row reference.
 #[derive(Debug, Default)]
 pub(crate) struct HealthLedger {
     /// Degradation-ladder position per machine.
@@ -280,11 +280,6 @@ impl HealthLedger {
     /// layout frame; values are already normalised ≥ 1 by the decoder).
     pub(crate) fn set_decimation(&mut self, m: usize, decimation: u16) {
         self.decimation[m] = decimation.max(1);
-    }
-
-    /// Machines the ledger has slots for.
-    pub(crate) fn len(&self) -> usize {
-        self.state.len()
     }
 
     /// Whether machine `m` ever had a frame accepted (false for dense
@@ -348,8 +343,8 @@ impl HealthLedger {
         };
     }
 
-    /// Commits a fresh sane row delivered as a row array (the sharded
-    /// path's shape).
+    /// Commits a fresh sane row delivered as a row array (the per-row
+    /// reference's shape).
     pub(crate) fn commit_row(&mut self, m: usize, epoch: u64, row: &[f64; COLUMNS], reset: bool) {
         for (c, v) in self.last_good.iter_mut().zip(row) {
             c[m] = *v;
@@ -472,8 +467,6 @@ pub struct PipelineHealth {
     pub rows_held: u64,
     /// Machines dropped after exceeding the staleness bound.
     pub machines_stale: u64,
-    /// Rows shed under backpressure (lossy mode only).
-    pub dropped_rows: u64,
 }
 
 impl PipelineHealth {
@@ -487,7 +480,6 @@ impl PipelineHealth {
             rows_quarantined: r.rows_quarantined,
             rows_held: r.rows_held,
             machines_stale: r.machines_stale,
-            dropped_rows: r.dropped_rows,
         }
     }
 
@@ -501,7 +493,7 @@ impl std::fmt::Display for PipelineHealth {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "corrupt={} resyncs={} resets={} dups={} quarantined={} held={} stale={} dropped={}",
+            "corrupt={} resyncs={} resets={} dups={} quarantined={} held={} stale={}",
             self.corrupt_frames,
             self.resyncs,
             self.resets_detected,
@@ -509,7 +501,6 @@ impl std::fmt::Display for PipelineHealth {
             self.rows_quarantined,
             self.rows_held,
             self.machines_stale,
-            self.dropped_rows,
         )
     }
 }

@@ -1,5 +1,5 @@
-//! **tdp-wire** — zero-copy telemetry wire codec and lock-free
-//! streaming ingest for fleet power estimation.
+//! **tdp-wire** — zero-copy telemetry wire codec and fused ingest for
+//! fleet power estimation.
 //!
 //! A fleet controller doesn't read PMUs itself: machines ship their
 //! counter windows over the network, and the estimator's real input is
@@ -20,11 +20,11 @@
 //!   the same [`fold_event_lanes`] arithmetic in-memory ingestion uses,
 //!   memoising event layouts by hash ([`LayoutTable`]). No intermediate
 //!   sample structs, no steady-state allocation.
-//! * [`stream_window`] — the pipeline: decoder shards on the existing
-//!   [`tdp_parallel::WorkerPool`] (machines sharded by id), bounded
-//!   lock-free SPSC [`ring`]s, explicit backpressure, and a streamed
-//!   result that is bit-identical to serial ingestion for any decoder
-//!   count.
+//! * [`ingest_serial_with`] — the one ingest path: a single fused walk
+//!   from bytes to batch columns, with the sanity screen and health
+//!   commit batched per window and no steady-state allocation.
+//!   [`ingest_reference_with`] is its unbatched per-row reference, the
+//!   semantic baseline the batched path is property-tested against.
 //! * [`health`](PipelineHealth) — graceful degradation under a hostile
 //!   stream: per-machine [`HealthState`] ledgers, sequence
 //!   reset/duplicate detection, [`DegradePolicy`] sanity quarantine,
@@ -64,7 +64,7 @@
 //! assert_eq!(est.estimate().len(), 3);
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod frame;
@@ -75,8 +75,6 @@ mod encode;
 pub mod faults;
 mod health;
 pub mod planar;
-#[allow(unsafe_code)]
-pub mod ring;
 mod stream;
 
 pub use decode::{CursorItem, DecodeError, Decoded, FrameCursor, FrameDecoder, LayoutTable};
@@ -87,6 +85,6 @@ pub use encode::{
 pub use faults::{FaultKind, FaultPlan, FaultedWindow, InjectedFault};
 pub use health::{DegradePolicy, HealthState, PipelineHealth};
 pub use stream::{
-    ingest_serial, ingest_serial_with, stream_window, stream_window_with, IngestState,
+    ingest_reference_with, ingest_serial, ingest_serial_with, stream_window_with, IngestState,
     StreamConfig, StreamReport,
 };

@@ -2,7 +2,8 @@
 //! while persistent ingest degrades gracefully — every injected fault
 //! lands in a pipeline-health counter, machines untouched by recent
 //! faults estimate **bit-identically** to a fault-free run, and the
-//! whole scenario replays deterministically (serial and sharded alike).
+//! whole scenario replays deterministically (batched fused ingest and
+//! its per-row reference alike).
 //! The anomaly detector judging the battered estimates stays
 //! bit-identical between its serial and pooled updates.
 
@@ -12,8 +13,8 @@ use tdp_counters::{CounterSample, CpuId, InterruptSnapshot, PerfEvent, SampleSet
 use tdp_fleet::{AnomalyConfig, AnomalyDetector, FleetEstimator};
 use tdp_parallel::WorkerPool;
 use tdp_wire::{
-    ingest_serial, ingest_serial_with, stream_window_with, FaultKind, FaultPlan, FaultedWindow,
-    HealthState, IngestState, PipelineHealth, StreamConfig, StreamReport, WireEncoder,
+    ingest_reference_with, ingest_serial, ingest_serial_with, FaultKind, FaultPlan, FaultedWindow,
+    HealthState, IngestState, PipelineHealth, StreamReport, WireEncoder,
 };
 use trickledown::SystemPowerModel;
 
@@ -141,21 +142,16 @@ fn assert_faults_accounted(w: u64, f: &FaultedWindow, rep: &StreamReport) {
 fn faulted_stream_degrades_gracefully_and_clean_subset_is_bit_identical() {
     let plan = FaultPlan::new(SEED);
     let pool = WorkerPool::new(4);
-    let cfg = StreamConfig {
-        ring_capacity: 4,
-        chunk_rows: 5,
-        ..StreamConfig::default()
-    };
     let policy_span = IngestState::new().policy().max_stale_windows;
 
     let mut clean_enc = WireEncoder::new();
     let mut fault_enc = WireEncoder::new();
     let mut clean_state = IngestState::new();
     let mut serial_state = IngestState::new();
-    let mut stream_state = IngestState::new();
+    let mut reference_state = IngestState::new();
     let mut clean_est = FleetEstimator::new(SystemPowerModel::paper());
     let mut serial_est = FleetEstimator::new(SystemPowerModel::paper());
-    let mut stream_est = FleetEstimator::new(SystemPowerModel::paper());
+    let mut reference_est = FleetEstimator::new(SystemPowerModel::paper());
     // A baseline shorter than the run and a threshold inside this
     // fleet's spread, so the detector judges windows under fire and
     // hands out Anomalous and Suspect verdicts, not only Normal ones.
@@ -201,22 +197,16 @@ fn faulted_stream_degrades_gracefully_and_clean_subset_is_bit_identical() {
         let clean_bits = estimate_bits(&mut clean_est);
 
         let serial_rep = ingest_serial_with(&mut serial_state, &buf, MACHINES, &mut serial_est);
-        let stream_rep = stream_window_with(
-            &mut stream_state,
-            &pool,
-            &cfg,
-            &buf,
-            MACHINES,
-            &mut stream_est,
-        );
+        let reference_rep =
+            ingest_reference_with(&mut reference_state, &buf, MACHINES, &mut reference_est);
 
         assert_faults_accounted(w, &injected, &serial_rep);
         assert_eq!(
             PipelineHealth::from_report(&serial_rep),
-            PipelineHealth::from_report(&stream_rep),
-            "window {w}: serial and sharded ingest must degrade identically"
+            PipelineHealth::from_report(&reference_rep),
+            "window {w}: fused and reference ingest must degrade identically"
         );
-        assert_eq!(serial_rep.rows_written, stream_rep.rows_written);
+        assert_eq!(serial_rep.rows_written, reference_rep.rows_written);
 
         // Every machine is either contributing a row or known-stale —
         // nothing simply vanishes.
@@ -229,7 +219,7 @@ fn faulted_stream_degrades_gracefully_and_clean_subset_is_bit_identical() {
             "window {w}: rows + stale machines must cover the fleet"
         );
 
-        // Clean-subset bit-identity, serial and sharded: machines with
+        // Clean-subset bit-identity, fused and reference: machines with
         // no fault in the last `max_stale_windows + 1` windows have
         // been fed exclusively intact fresh frames, so their estimates
         // carry no trace of the chaos elsewhere in the fleet.
@@ -248,7 +238,7 @@ fn faulted_stream_degrades_gracefully_and_clean_subset_is_bit_identical() {
             dirty.len()
         );
         let serial_bits = estimate_bits(&mut serial_est);
-        let stream_bits = estimate_bits(&mut stream_est);
+        let reference_bits = estimate_bits(&mut reference_est);
 
         // Detector under fire: serial and pooled judgement of the
         // faulted estimates leave bit-identical state every window.
@@ -271,8 +261,8 @@ fn faulted_stream_degrades_gracefully_and_clean_subset_is_bit_identical() {
                 "window {w}: clean machine {m} diverged under serial faulted ingest"
             );
             assert_eq!(
-                stream_bits[m as usize], clean_bits[m as usize],
-                "window {w}: clean machine {m} diverged under sharded faulted ingest"
+                reference_bits[m as usize], clean_bits[m as usize],
+                "window {w}: clean machine {m} diverged under reference faulted ingest"
             );
         }
     }
@@ -287,25 +277,19 @@ fn faulted_stream_degrades_gracefully_and_clean_subset_is_bit_identical() {
 proptest! {
     /// The serial fused path screens health in *batches* — an SoA
     /// [`HealthLedger`] plus one vectorised column sanity scan per
-    /// window — while the sharded path walks the per-row ladder, which
-    /// is the semantic reference. Across arbitrary seeded fault plans
-    /// the two must be indistinguishable: same health-counter block,
-    /// same rows delivered, same per-machine ladder states, and
-    /// bit-identical estimates, every window.
+    /// window — while [`ingest_reference_with`] walks the per-row
+    /// ladder, which is the semantic reference. Across arbitrary seeded
+    /// fault plans the two must be indistinguishable: same
+    /// health-counter block, same rows delivered, same per-machine
+    /// ladder states, and bit-identical estimates, every window.
     #[test]
-    fn batched_serial_health_matches_per_row_sharded_reference(seed in any::<u64>()) {
+    fn batched_serial_health_matches_per_row_reference(seed in any::<u64>()) {
         let plan = FaultPlan::new(seed);
-        let pool = WorkerPool::new(3);
-        let cfg = StreamConfig {
-            ring_capacity: 4,
-            chunk_rows: 3,
-            ..StreamConfig::default()
-        };
         let mut enc = WireEncoder::new();
         let mut serial_state = IngestState::new();
-        let mut sharded_state = IngestState::new();
+        let mut reference_state = IngestState::new();
         let mut serial_est = FleetEstimator::new(SystemPowerModel::paper());
-        let mut sharded_est = FleetEstimator::new(SystemPowerModel::paper());
+        let mut reference_est = FleetEstimator::new(SystemPowerModel::paper());
         for w in 0..4u64 {
             let clean = encode_window(&mut enc, w);
             // Window 0 carries the layouts intact; every later window
@@ -317,26 +301,20 @@ proptest! {
             };
             let serial_rep =
                 ingest_serial_with(&mut serial_state, &buf, MACHINES, &mut serial_est);
-            let sharded_rep = stream_window_with(
-                &mut sharded_state,
-                &pool,
-                &cfg,
-                &buf,
-                MACHINES,
-                &mut sharded_est,
-            );
+            let reference_rep =
+                ingest_reference_with(&mut reference_state, &buf, MACHINES, &mut reference_est);
             prop_assert_eq!(
                 PipelineHealth::from_report(&serial_rep),
-                PipelineHealth::from_report(&sharded_rep),
+                PipelineHealth::from_report(&reference_rep),
                 "seed {} window {}: health blocks diverged",
                 seed,
                 w
             );
-            prop_assert_eq!(serial_rep.rows_written, sharded_rep.rows_written);
+            prop_assert_eq!(serial_rep, reference_rep, "seed {} window {}: reports diverged", seed, w);
             for m in 0..MACHINES as u64 {
                 prop_assert_eq!(
                     serial_state.machine_health(m),
-                    sharded_state.machine_health(m),
+                    reference_state.machine_health(m),
                     "seed {} window {} machine {}: ladder states diverged",
                     seed,
                     w,
@@ -345,13 +323,74 @@ proptest! {
             }
             prop_assert_eq!(
                 estimate_bits(&mut serial_est),
-                estimate_bits(&mut sharded_est),
+                estimate_bits(&mut reference_est),
                 "seed {} window {}: estimate bits diverged",
                 seed,
                 w
             );
         }
     }
+}
+
+#[test]
+fn insane_second_frame_in_one_window_restores_the_first_good_row() {
+    // Machine 0 sends two fresh frames in one window: a sane one, then
+    // one claiming 1000 uops per cycle. The batched path resolves the
+    // first row early, folds the second over its column slot, and must
+    // put the first back once the batched screen quarantines the
+    // second — the row the per-row reference leaves standing.
+    let mut insane = synthetic_set(0, 1);
+    insane.per_cpu = (0..4)
+        .map(|cpu| {
+            let counts = LAYOUT
+                .iter()
+                .map(|&e| match e {
+                    PerfEvent::Cycles => (e, 2_000_000_000),
+                    PerfEvent::FetchedUops => (e, 2_000_000_000_000),
+                    _ => (e, 1_000),
+                })
+                .collect();
+            CounterSample::new(CpuId::new(cpu), 1, counts)
+        })
+        .collect();
+    let mut enc = WireEncoder::new();
+    for m in 0..MACHINES as u64 {
+        enc.push_sample_set(m, &synthetic_set(m, 0)).unwrap();
+    }
+    enc.push_sample_set(0, &insane).unwrap();
+    let buf = enc.take_bytes();
+
+    let mut fused_state = IngestState::new();
+    let mut reference_state = IngestState::new();
+    let mut fused_est = FleetEstimator::new(SystemPowerModel::paper());
+    let mut reference_est = FleetEstimator::new(SystemPowerModel::paper());
+    let fused = ingest_serial_with(&mut fused_state, &buf, MACHINES, &mut fused_est);
+    let reference = ingest_reference_with(&mut reference_state, &buf, MACHINES, &mut reference_est);
+    assert_eq!(fused.rows_quarantined, 1, "{fused:?}");
+    assert_eq!(fused, reference);
+    assert_eq!(
+        fused_state.machine_health(0),
+        reference_state.machine_health(0)
+    );
+    assert_eq!(
+        estimate_bits(&mut fused_est),
+        estimate_bits(&mut reference_est)
+    );
+
+    let mut clean_est = FleetEstimator::new(SystemPowerModel::paper());
+    let mut clean = WireEncoder::new();
+    let clean_buf = encode_window(&mut clean, 0);
+    ingest_serial_with(
+        &mut IngestState::new(),
+        &clean_buf,
+        MACHINES,
+        &mut clean_est,
+    );
+    assert_eq!(
+        estimate_bits(&mut fused_est),
+        estimate_bits(&mut clean_est),
+        "machine 0 must keep its window-0 row"
+    );
 }
 
 #[test]

@@ -6,10 +6,10 @@
 use proptest::prelude::*;
 use tdp_counters::{CounterSample, CpuId, InterruptSnapshot, PerfEvent, SampleSet};
 use tdp_fleet::FleetEstimator;
-use tdp_parallel::WorkerPool;
 use tdp_wire::frame::{FrameHeader, HeaderError, HEADER_LEN};
 use tdp_wire::{
-    ingest_serial, stream_window, CursorItem, FrameCursor, StreamConfig, StreamReport, WireEncoder,
+    ingest_reference_with, ingest_serial, CursorItem, FrameCursor, IngestState, StreamReport,
+    WireEncoder,
 };
 use trickledown::SystemPowerModel;
 
@@ -242,11 +242,10 @@ fn retired_sample_type_byte_is_never_decoded() {
         "type byte 1 must not parse"
     );
 
-    // Serial fused ingest and sharded streaming agree on the verdict.
-    let pool = WorkerPool::new(3);
+    // Fused ingest and the per-row reference agree on the verdict.
     let mut est = FleetEstimator::new(SystemPowerModel::paper());
-    let sharded = stream_window(&pool, &StreamConfig::default(), &buf, 2, &mut est);
-    for rep in [ingest(&buf, 2), sharded] {
+    let reference = ingest_reference_with(&mut IngestState::new(), &buf, 2, &mut est);
+    for rep in [ingest(&buf, 2), reference] {
         assert_eq!(rep.resyncs, 1, "the retired frame is one resync");
         assert_eq!(rep.resync_bytes, len as u64, "exactly its bytes skipped");
         assert_eq!(rep.sample_frames, 1, "only machine 1's sample decoded");

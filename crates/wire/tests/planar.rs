@@ -2,17 +2,16 @@
 //! the layout, CPU count or value range, ingesting a planar stream
 //! produces **bit-identical** fleet rows and estimates to in-memory
 //! ingestion of the same windows (`SampleBatch::push_sample_set`) —
-//! serial and sharded — and a battered planar stream degrades under
+//! batched and per-row reference — and a battered planar stream degrades under
 //! the clean-subset contract.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use tdp_counters::{CounterSample, CpuId, InterruptSnapshot, PerfEvent, SampleSet};
 use tdp_fleet::FleetEstimator;
-use tdp_parallel::WorkerPool;
 use tdp_wire::{
-    ingest_serial_with, stream_window_with, DegradePolicy, FaultKind, FaultPlan, IngestState,
-    StreamConfig, WireEncoder,
+    ingest_reference_with, ingest_serial_with, DegradePolicy, FaultKind, FaultPlan, IngestState,
+    WireEncoder,
 };
 use trickledown::SystemPowerModel;
 
@@ -118,16 +117,10 @@ fn serial_bits(wire: &[u8], machines: usize) -> (Vec<Vec<u64>>, Vec<u64>) {
     (batch_bits(&est), total_bits(&mut est))
 }
 
-/// Ingests `wire` through the sharded pool path and returns the bits.
-fn sharded_bits(wire: &[u8], machines: usize) -> (Vec<Vec<u64>>, Vec<u64>) {
-    let pool = WorkerPool::new(3);
-    let cfg = StreamConfig {
-        ring_capacity: 4,
-        chunk_rows: 3,
-        ..StreamConfig::default()
-    };
+/// Ingests `wire` through the per-row reference and returns the bits.
+fn reference_bits(wire: &[u8], machines: usize) -> (Vec<Vec<u64>>, Vec<u64>) {
     let mut est = FleetEstimator::new(SystemPowerModel::paper());
-    let rep = stream_window_with(&mut accept_all(), &pool, &cfg, wire, machines, &mut est);
+    let rep = ingest_reference_with(&mut accept_all(), wire, machines, &mut est);
     assert_eq!(rep.corrupt_frames + rep.resyncs, 0, "clean stream");
     assert_eq!(rep.rows_written, machines as u64, "every row fresh");
     assert_eq!(rep.rows_quarantined, 0, "policy accepts every row");
@@ -178,7 +171,7 @@ proptest! {
     /// Core property: for any layout shape, CPU count and value mix —
     /// including values straddling every plane-width boundary, which
     /// induce CPU-over-CPU deltas of every zigzag width — planar wire
-    /// ingest, serial and sharded, lands on the fleet rows and
+    /// ingest, batched and per-row reference, lands on the fleet rows and
     /// estimates in-memory ingestion of the same windows produces, bit
     /// for bit. Frames run up to 12 CPUs × 18 events (198 delta lanes).
     #[test]
@@ -211,9 +204,9 @@ proptest! {
             "serial planar ingest diverged from in-memory ingest"
         );
         prop_assert_eq!(
-            sharded_bits(&wire, machines),
+            reference_bits(&wire, machines),
             want,
-            "sharded planar ingest diverged from in-memory ingest"
+            "reference planar ingest diverged from in-memory ingest"
         );
     }
 }
@@ -284,7 +277,7 @@ fn width_boundary_deltas_roundtrip_bit_identically() {
         in_memory_bits(&sets),
         "boundary deltas must decode to the in-memory row"
     );
-    assert_eq!(sharded_bits(&wire, 1), in_memory_bits(&sets));
+    assert_eq!(reference_bits(&wire, 1), in_memory_bits(&sets));
 }
 
 /// A realistic in-range machine-window (the chaos leg needs rows that

@@ -201,31 +201,49 @@ fn steady_state_fused_planar_ingest_does_not_allocate() {
         })
         .collect();
 
-    let mut est =
-        tdp_fleet::FleetEstimator::with_capacity(trickledown::SystemPowerModel::paper(), MACHINES);
-    let mut state = tdp_wire::IngestState::new();
-    // Prime: the first window announces layouts and sizes every slab
-    // (ledger, identity-directory memo, lane buffer, batch columns);
-    // later windows only change counter magnitudes, so plane widths —
-    // and buffer capacities — hold steady.
-    for buf in &bufs[..PRIME] {
-        tdp_wire::ingest_serial_with(&mut state, buf, MACHINES, &mut est);
-        est.estimate();
-    }
-
-    let mut rows = 0u64;
-    let delta = count_allocations(|| {
-        for buf in &bufs[PRIME..] {
-            rows += tdp_wire::ingest_serial_with(&mut state, buf, MACHINES, &mut est).rows_written;
-            std::hint::black_box(est.estimate().fleet_total());
+    // Both entry points: the fused path itself, and the pooled
+    // signature benchmark harnesses call, on a two-worker pool built
+    // outside the measured region.
+    let pool = tdp_parallel::WorkerPool::new(2);
+    let cfg = tdp_wire::StreamConfig::default();
+    for pooled in [false, true] {
+        let ingest =
+            |state: &mut tdp_wire::IngestState, buf: &[u8], est: &mut tdp_fleet::FleetEstimator| {
+                if pooled {
+                    tdp_wire::stream_window_with(state, &pool, &cfg, buf, MACHINES, est)
+                } else {
+                    tdp_wire::ingest_serial_with(state, buf, MACHINES, est)
+                }
+            };
+        let mut est = tdp_fleet::FleetEstimator::with_capacity(
+            trickledown::SystemPowerModel::paper(),
+            MACHINES,
+        );
+        let mut state = tdp_wire::IngestState::new();
+        // Prime: the first window announces layouts and sizes every slab
+        // (ledger, identity-directory memo, lane buffer, batch columns);
+        // later windows only change counter magnitudes, so plane widths —
+        // and buffer capacities — hold steady.
+        for buf in &bufs[..PRIME] {
+            ingest(&mut state, buf, &mut est);
+            est.estimate();
         }
-    });
-    assert_eq!(rows, (WINDOWS * MACHINES) as u64, "clean windows commit");
-    assert_eq!(
-        delta, 0,
-        "{WINDOWS} fused planar windows allocated {delta} times — the \
-         steady-state wire ingest path must be allocation-free"
-    );
+
+        let mut rows = 0u64;
+        let delta = count_allocations(|| {
+            for buf in &bufs[PRIME..] {
+                rows += ingest(&mut state, buf, &mut est).rows_written;
+                std::hint::black_box(est.estimate().fleet_total());
+            }
+        });
+        assert_eq!(rows, (WINDOWS * MACHINES) as u64, "clean windows commit");
+        assert_eq!(
+            delta, 0,
+            "{WINDOWS} fused planar windows (pooled entry point: {pooled}) \
+             allocated {delta} times — the steady-state wire ingest path \
+             must be allocation-free"
+        );
+    }
 }
 
 #[test]
