@@ -189,15 +189,12 @@ pub fn shape_checks(
         ));
     }
 
-    // Model errors: all-workload average <9%-ish per subsystem.
+    // Model errors: the paper's all-workload average < 9% per subsystem.
     let avg = report.class_average(None);
     for &s in Subsystem::ALL {
         checks.push((
-            format!(
-                "{s} all-workload average error {:.2}% < 12%",
-                avg[s.index()]
-            ),
-            avg[s.index()] < 12.0,
+            format!("{s} all-workload average error {:.2}% < 9%", avg[s.index()]),
+            avg[s.index()] < 9.0,
         ));
     }
 

@@ -157,7 +157,8 @@ pub struct AnomalyDetector {
     verdict: Vec<Verdict>,
     /// Per machine: remaining hysteresis windows.
     hold: Vec<u32>,
-    /// Sort scratch for medians (values, then absolute deviations).
+    /// Selection scratch for medians (values, then absolute
+    /// deviations, then ring scales); [`median_in`] reorders it in place.
     scratch: Vec<f64>,
 }
 
@@ -167,19 +168,31 @@ impl Default for AnomalyDetector {
     }
 }
 
-/// Median of `vals` after an unstable total-order sort. Deterministic
-/// for any input (NaNs order via `total_cmp`; the estimator's clamped
-/// outputs never produce them).
+/// Median of `vals` (0 when empty) in linear time, reordering `vals`
+/// in place. Selection puts the upper middle value at `n / 2` with
+/// every value before it no greater under `total_cmp`, so for even `n`
+/// the lower middle is the `total_cmp` maximum of that left part.
+/// `total_cmp` is a total order on bit patterns, so each order
+/// statistic is one unique bit pattern and the result is bit-identical
+/// to sorting and indexing. The one exception is a NaN made by the
+/// even-`n` mean: Rust leaves the payload of an arithmetic NaN
+/// unspecified, for sorting too. The estimator's clamped outputs never
+/// produce NaNs.
 fn median_in(vals: &mut [f64]) -> f64 {
-    if vals.is_empty() {
+    let n = vals.len();
+    if n == 0 {
         return 0.0;
     }
-    vals.sort_unstable_by(f64::total_cmp);
-    let n = vals.len();
+    let (below, &mut upper, _) = vals.select_nth_unstable_by(n / 2, f64::total_cmp);
     if n % 2 == 1 {
-        vals[n / 2]
+        upper
     } else {
-        0.5 * (vals[n / 2 - 1] + vals[n / 2])
+        let lower = below
+            .iter()
+            .copied()
+            .max_by(f64::total_cmp)
+            .expect("even n >= 2 leaves n / 2 values below the middle");
+        0.5 * (lower + upper)
     }
 }
 
@@ -546,5 +559,118 @@ mod tests {
             assert_eq!(serial.digest(), pooled.digest(), "window {w}");
         }
         assert!(serial.summary().max_z > 0.0);
+    }
+
+    /// The detector digest after 14 serial windows in which machine 5
+    /// spikes in windows 9 and 10 (the pooled-vs-serial scenario).
+    fn spike_scenario_digest(machines: usize) -> u64 {
+        let mut est = FleetEstimator::new(SystemPowerModel::paper());
+        let mut det = AnomalyDetector::default();
+        for w in 0..14 {
+            let spike = (9..11).contains(&w).then_some(5);
+            let e = estimates_for(&mut est, machines, w, spike);
+            det.update(&e);
+        }
+        assert_eq!(det.verdict(5), Verdict::Suspect, "spike seen, in hold");
+        det.digest()
+    }
+
+    #[test]
+    fn spike_scenario_digests_match_the_sort_based_baseline() {
+        // Recorded with `median_by_sort` as the detector's median.
+        // Serial and pooled updates share the baseline refresh, so only
+        // fixed constants catch a median that drifts by one bit. 700
+        // machines take the even-n mean of two middle values; 701 take
+        // the single middle value.
+        assert_eq!(spike_scenario_digest(700), 0xebae_c663_e3b6_ea10);
+        assert_eq!(spike_scenario_digest(701), 0x17ac_3553_4649_90bc);
+    }
+
+    /// The sort-then-index median `median_in` must reproduce bit for bit.
+    fn median_by_sort(vals: &[f64]) -> f64 {
+        let mut v = vals.to_vec();
+        if v.is_empty() {
+            return 0.0;
+        }
+        v.sort_unstable_by(f64::total_cmp);
+        let n = v.len();
+        if n % 2 == 1 {
+            v[n / 2]
+        } else {
+            0.5 * (v[n / 2 - 1] + v[n / 2])
+        }
+    }
+
+    /// Values that stress a `total_cmp` selection: both zeros, NaNs of
+    /// both signs with different payloads, both infinities, subnormals
+    /// and repeats. Drawing from so few values makes duplicates common.
+    const AWKWARD: [f64; 16] = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        2.5,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7ff0_0000_0000_0001),
+        f64::from_bits(0xfff8_0000_0000_00ff),
+        f64::from_bits(1),
+        -f64::from_bits(1),
+        f64::MIN_POSITIVE / 4.0,
+        f64::MAX,
+        1.0e-300,
+    ];
+
+    /// An awkward value for draw `(i, bits)`: mostly the fixed pool,
+    /// otherwise any bit pattern at all.
+    fn awkward_value((i, bits): (usize, u64)) -> f64 {
+        AWKWARD.get(i).copied().unwrap_or(f64::from_bits(bits))
+    }
+
+    fn assert_median_matches_sort(vals: &[f64]) -> Result<(), String> {
+        let mut work = vals.to_vec();
+        let got = median_in(&mut work);
+        let want = median_by_sort(vals);
+        // An even-n mean with a NaN middle value is a NaN whose payload
+        // Rust leaves unspecified; only its NaN-ness can be required.
+        let arithmetic_nan = vals.len().is_multiple_of(2) && want.is_nan();
+        if got.to_bits() == want.to_bits() || (arithmetic_nan && got.is_nan()) {
+            Ok(())
+        } else {
+            Err(format!(
+                "n = {}: selection {got:?} ({:#018x}) != sort {want:?} ({:#018x})",
+                vals.len(),
+                got.to_bits(),
+                want.to_bits()
+            ))
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn median_in_matches_sort_reference_bit_for_bit(
+            draws in proptest::collection::vec((0usize..20, proptest::any::<u64>()), 0..81),
+        ) {
+            let vals: Vec<f64> = draws.into_iter().map(awkward_value).collect();
+            // Every prefix too, so each case covers odd and even lengths.
+            for k in 0..=vals.len() {
+                assert_median_matches_sort(&vals[..k])?;
+            }
+        }
+    }
+
+    #[test]
+    fn median_in_matches_sort_reference_at_1024() {
+        let mut rng = proptest::TestRng::seed(1024);
+        let vals: Vec<f64> = (0..1024)
+            .map(|_| awkward_value((rng.below(20) as usize, rng.next_u64())))
+            .collect();
+        assert_median_matches_sort(&vals).unwrap();
+        // The same values with every NaN and infinity removed: the
+        // finite inputs the detector actually sees.
+        let finite: Vec<f64> = vals.iter().copied().filter(|v| v.is_finite()).collect();
+        assert_median_matches_sort(&finite).unwrap();
     }
 }

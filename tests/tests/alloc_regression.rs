@@ -4,8 +4,9 @@
 //! everything) pins the buffer-reuse contract: once the machine's
 //! scratch buffers reach steady state, `Machine::tick_into` and
 //! `Machine::read_counters_into` must run without heap allocation —
-//! and a whole fleet estimation window
-//! (`tdp_fleet::FleetEstimator`) must allocate nothing at all.
+//! and a whole fleet estimation window (`tdp_fleet::FleetEstimator`
+//! plus the `tdp_fleet::AnomalyDetector` verdicts on its estimates)
+//! must allocate nothing at all.
 //!
 //! Counting is per thread and armed only around each measured region
 //! ([`count_allocations`]), so tests running in parallel under the
@@ -129,10 +130,11 @@ fn steady_state_counter_reads_do_not_allocate() {
 
 #[test]
 fn steady_state_fleet_window_does_not_allocate() {
-    // Fleet estimation is advertised as allocation-free once the column
-    // buffers reach their steady capacity: per window, one
-    // `begin_window`, one `push_sample_set` per machine and one
-    // `estimate` must not touch the heap.
+    // Fleet estimation and the anomaly detector are advertised as
+    // allocation-free once their buffers reach steady capacity: per
+    // window, one `begin_window`, one `push_sample_set` per machine,
+    // one `estimate`, one detector `update` and a decimation grant per
+    // machine must not touch the heap.
     const MACHINES: usize = 64;
     let (mut machine, mut activity) = warmed_machine();
     let mut set = tdp_counters::SampleSet::empty();
@@ -143,28 +145,37 @@ fn steady_state_fleet_window_does_not_allocate() {
 
     let mut fleet =
         tdp_fleet::FleetEstimator::with_capacity(trickledown::SystemPowerModel::paper(), MACHINES);
-    // Prime: first window sizes the estimate columns.
-    for _ in 0..3 {
+    let mut detector = tdp_fleet::AnomalyDetector::default();
+    let window = |fleet: &mut tdp_fleet::FleetEstimator,
+                  detector: &mut tdp_fleet::AnomalyDetector| {
         fleet.begin_window();
         for _ in 0..MACHINES {
             fleet.push_sample_set(&set);
         }
-        fleet.estimate();
+        let estimates = fleet.estimate();
+        std::hint::black_box(estimates.fleet_total());
+        detector.update(estimates);
+        for m in 0..MACHINES {
+            std::hint::black_box(detector.decimation(m));
+        }
+    };
+    // Prime past warm-up: the first window sizes the estimate columns,
+    // the detector's per-machine state and its selection scratch; the
+    // scale ring fills over the warm-up windows.
+    for _ in 0..detector.config().baseline_windows + 1 {
+        window(&mut fleet, &mut detector);
     }
+    assert!(detector.warmed());
 
     let delta = count_allocations(|| {
         for _ in 0..50 {
-            fleet.begin_window();
-            for _ in 0..MACHINES {
-                fleet.push_sample_set(&set);
-            }
-            std::hint::black_box(fleet.estimate().fleet_total());
+            window(&mut fleet, &mut detector);
         }
     });
     assert_eq!(
         delta, 0,
         "50 fleet windows allocated {delta} times — the steady-state \
-         fleet path must be allocation-free"
+         fleet path, detector included, must be allocation-free"
     );
 }
 
